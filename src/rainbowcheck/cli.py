@@ -172,6 +172,8 @@ def _cmd_relbetti(args):
 
 
 def _cmd_sd(args):
+    if args.times < 0:
+        raise InputError(f"--times must be a non-negative integer, got {args.times}")
     K, _ = parse_instance(args.path)
     for _ in range(args.times):
         if K.is_empty:

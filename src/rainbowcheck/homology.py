@@ -1,15 +1,18 @@
 """Exact reduced and relative simplicial homology via boundary-matrix ranks.
 
+Ranks come from one column-reduction kernel (reduce each column on its
+lowest nonzero row; boundaries from the top degree down with clearing).
 All arithmetic is exact: modular integers over GF(p), fraction-free
-integer elimination over the rationals. No floating point anywhere.
+integers with gcd reduction over the rationals. No floating point anywhere.
 """
 
 from __future__ import annotations
 
-import itertools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .complexes import SimplicialComplex
 
@@ -124,88 +127,101 @@ class SparseMatrix:
         return SparseMatrix(self.rows, other.cols, tuple(entries))
 
 
-def _row_dicts(M: SparseMatrix):
-    rows = {}
-    for r, c, v in M.entries:
-        rows.setdefault(r, {})[c] = v
-    return list(rows.values())
+def _clear_denominators(col):
+    """The column scaled to coprime integers (entries int or Fraction)."""
+    fracs = {r: Fraction(v) for r, v in col.items() if v}
+    m = lcm(*(v.denominator for v in fracs.values()))
+    ints = {r: int(v * m) for r, v in fracs.items()}
+    g = gcd(*ints.values()) or 1
+    return {r: v // g for r, v in ints.items()}
 
 
-def _rank_gf(rows, p: int) -> int:
-    pivots = {}  # pivot column -> normalized row dict
-    rank = 0
-    for row in rows:
-        row = {c: v % p for c, v in row.items() if v % p}
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                inv = pow(row[c], p - 2, p) if p > 2 else 1
-                pivots[c] = {cc: (vv * inv) % p for cc, vv in row.items()}
-                rank += 1
-                break
-            f = row[c]
-            for cc, vv in piv.items():
-                nv = (row.get(cc, 0) - f * vv) % p
-                if nv:
-                    row[cc] = nv
-                elif cc in row:
-                    del row[cc]
-        # exhausted row: linearly dependent
-    return rank
+def _reduce(columns, p: int) -> dict:
+    """Column reduction on lowest rows: each column, in order, is reduced
+    against the stored pivot columns until its lowest nonzero row is new,
+    and is then stored as the pivot column of that row.  Arithmetic is mod
+    p, or fraction-free over the integers with gcd reduction when p == 0;
+    columns must hold nonzero integers (reduced mod p when p > 0).
 
-
-def _clear_denominators(row):
-    if all(isinstance(v, int) for v in row.values()):
-        ints = dict(row)
-    else:
-        fracs = {c: Fraction(v) for c, v in row.items()}
-        lcm = 1
-        for v in fracs.values():
-            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-        ints = {c: int(v * lcm) for c, v in fracs.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    if g > 1:
-        ints = {c: v // g for c, v in ints.items()}
-    return {c: v for c, v in ints.items() if v}
-
-
-def _rank_rational(rows) -> int:
-    """Fraction-free elimination on integer rows with gcd reduction."""
+    Returns {pivot row: reduced column}; its length is the rank.  Reduced
+    columns are mutated in place.
+    """
     pivots = {}
-    rank = 0
-    for row in rows:
-        row = _clear_denominators(row)
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
+    for col in columns:
+        while col:
+            low = max(col)
+            piv = pivots.get(low)
             if piv is None:
-                pivots[c] = row
-                rank += 1
+                if p > 2 and col[low] != 1:
+                    inv = pow(col[low], -1, p)
+                    col = {r: v * inv % p for r, v in col.items()}
+                pivots[low] = col
                 break
-            pv, rv = piv[c], row[c]
-            new = {}
-            for cc in set(row) | set(piv):
-                nv = row.get(cc, 0) * pv - piv.get(cc, 0) * rv
-                if nv:
-                    new[cc] = nv
-            g = 0
-            for v in new.values():
-                g = gcd(g, v)
-            if g > 1:
-                new = {cc: v // g for cc, v in new.items()}
-            row = new
-    return rank
+            a, b = col[low], piv[low]
+            if p or a % b == 0:  # col - (a/b) piv, in place (b == 1 mod p)
+                f = a // b
+                for r, v in piv.items():
+                    nv = col.get(r, 0) - f * v
+                    if p:
+                        nv %= p
+                    if nv:
+                        col[r] = nv
+                    else:
+                        del col[r]
+            else:
+                new = {}
+                for r in col.keys() | piv.keys():
+                    nv = col.get(r, 0) * b - piv.get(r, 0) * a
+                    if nv:
+                        new[r] = nv
+                g = gcd(*new.values())
+                col = {r: v // g for r, v in new.items()} if g > 1 else new
+    return pivots
 
 
 def field_rank(M: SparseMatrix, F: FieldSpec) -> int:
     """Exact rank of M over F."""
-    rows = _row_dicts(M)
     if F.is_rational:
-        return _rank_rational(rows)
-    return _rank_gf(rows, F.p)
+        columns = (_clear_denominators(col) for col in M.column_dicts())
+    else:
+        columns = ({r: v % F.p for r, v in col.items() if v % F.p} for col in M.column_dicts())
+    return len(_reduce(columns, F.p))
+
+
+def _boundary_columns(faces, index: dict, p: int):
+    """Signed boundary of each face as {row: sign}, signs (-1)^i for deleting
+    the i-th vertex (reduced mod p when p > 0); rows are `index` positions,
+    and a codimension-one face missing from `index` (a face of the
+    subcomplex in a quotient) is dropped."""
+    signs = (1, -1 % p if p else -1)
+    for f in faces:
+        col = {}
+        for i in range(len(f)):
+            r = index.get(f[:i] + f[i + 1 :])
+            if r is not None:
+                col[r] = signs[i % 2]
+        yield col
+
+
+def _betti(bases: dict, p: int) -> BettiVector:
+    """Betti numbers of the chain complex with basis bases[k] (sorted
+    faces) in degrees k = -1..top.
+
+    Boundaries are reduced from the top degree down with clearing: when a
+    k-face is the pivot row of a reduced column of the boundary out of
+    degree k + 1, that column is a cycle whose lowest row is the k-face, so
+    the k-face's own column is a combination of earlier columns, reduces to
+    zero, and is never built.
+    """
+    top = max(bases)
+    ranks = {-1: 0, top + 1: 0}
+    cleared = ()
+    for k in range(top, -1, -1):
+        index = {f: i for i, f in enumerate(bases[k - 1])}
+        kept = (f for j, f in enumerate(bases[k]) if j not in cleared)
+        cleared = set(_reduce(_boundary_columns(kept, index, p), p))
+        ranks[k] = len(cleared)
+    return BettiVector({k: len(bases[k]) - ranks[k] - ranks[k + 1] for k in range(-1, top + 1)})
 
 
 @dataclass(frozen=True)
@@ -225,29 +241,14 @@ class ChainComplexMatrices:
 def boundary_matrices(K: SimplicialComplex, F: FieldSpec) -> ChainComplexMatrices:
     """Standard simplicial boundary operators with signs (-1)^i over the
     frozen vertex order; columns indexed by sorted k-faces."""
-    counts = {-1: 1}
+    counts = {k: K.face_count(k) for k in range(-1, K.dim + 1)}
     boundaries = {}
     for k in range(0, K.dim + 1):
-        counts[k] = K.face_count(k)
-    if K.dim >= 0:
-        n0 = counts[0]
-        one = 1 % F.p if not F.is_rational else 1
-        entries = tuple((0, j, one) for j in range(n0)) if one else ()
-        boundaries[0] = SparseMatrix(1, n0, entries)
-    index = {}
-    for k in range(1, K.dim + 1):
         lower = K._faces(k - 1)
         index = {f: i for i, f in enumerate(lower)}
-        entries = []
-        for j, f in enumerate(K._faces(k)):
-            for i in range(len(f)):
-                sub = f[:i] + f[i + 1 :]
-                sign = -1 if i % 2 else 1
-                if not F.is_rational:
-                    sign %= F.p
-                if sign:
-                    entries.append((index[sub], j, sign))
-        boundaries[k] = SparseMatrix(len(lower), counts[k], tuple(entries))
+        columns = _boundary_columns(K._faces(k), index, F.p)
+        entries = tuple((r, j, v) for j, col in enumerate(columns) for r, v in col.items())
+        boundaries[k] = SparseMatrix(len(lower), counts[k], entries)
     return ChainComplexMatrices(F, counts, boundaries)
 
 
@@ -292,28 +293,27 @@ def sphere_betti(n: int) -> BettiVector:
     return BettiVector({n: 1})
 
 
-_betti_cache = {}
+# Most recently used Betti vectors, keyed on (K.facets, F) so that no face
+# table is kept alive; bounded so that long-lived use does not grow memory.
+_BETTI_CACHE_SIZE = 256
+_betti_cache = OrderedDict()
+_betti_cache_lock = threading.Lock()
 
 
 def reduced_betti(K: SimplicialComplex, F: FieldSpec) -> BettiVector:
     """Reduced Betti numbers of K over F; degree -1 is 1 exactly for the
     empty complex."""
     key = (K.facets, F)
-    hit = _betti_cache.get(key)
-    if hit is not None:
-        return hit
-    if K.is_empty:
-        result = BettiVector({-1: 1})
+    with _betti_cache_lock:
+        hit = _betti_cache.get(key)
+        if hit is not None:
+            _betti_cache.move_to_end(key)
+            return hit
+    result = _betti({k: K._faces(k) for k in range(-1, K.dim + 1)}, F.p)
+    with _betti_cache_lock:
         _betti_cache[key] = result
-        return result
-    mats = boundary_matrices(K, F)
-    ranks = {k: field_rank(M, F) for k, M in mats.boundaries.items()}
-    ranks[K.dim + 1] = 0
-    values = {-1: 1 - ranks[0]}
-    for k in range(0, K.dim + 1):
-        values[k] = mats.face_counts[k] - ranks[k] - ranks[k + 1]
-    result = BettiVector(values)
-    _betti_cache[key] = result
+        if len(_betti_cache) > _BETTI_CACHE_SIZE:
+            _betti_cache.popitem(last=False)
     return result
 
 
@@ -324,31 +324,11 @@ def relative_betti(K: SimplicialComplex, L: SimplicialComplex, F: FieldSpec) -> 
     for f in L.facets:
         if not K.has_face(f):
             raise ValueError(f"{f!r} is a facet of L but not a face of K")
-    l_faces = set()
-    for k in range(0, L.dim + 1):
-        l_faces.update(L._faces(k))
-    bases = {}
+    bases = {-1: []}
     for k in range(0, K.dim + 1):
+        l_faces = set(L._faces(k))
         bases[k] = [f for f in K._faces(k) if f not in l_faces]
-    bases[K.dim + 1] = []
-    ranks = {0: 0}  # no boundary out of relative 0-chains
-    for k in range(1, K.dim + 2):
-        index = {f: i for i, f in enumerate(bases[k - 1])}
-        entries = []
-        for j, f in enumerate(bases.get(k, [])):
-            for i in range(len(f)):
-                sub = f[:i] + f[i + 1 :]
-                if sub in index:
-                    sign = -1 if i % 2 else 1
-                    if not F.is_rational:
-                        sign %= F.p
-                    entries.append((index[sub], j, sign))
-        M = SparseMatrix(len(bases[k - 1]), len(bases.get(k, [])), tuple(entries))
-        ranks[k] = field_rank(M, F)
-    values = {}
-    for k in range(0, K.dim + 1):
-        values[k] = len(bases[k]) - ranks[k] - ranks[k + 1]
-    return BettiVector(values)
+    return _betti(bases, F.p)
 
 
 def is_acyclic(K: SimplicialComplex, F: FieldSpec) -> bool:

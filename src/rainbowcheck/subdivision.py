@@ -33,7 +33,12 @@ class SubdivisionMap:
         return self.carrier[label]
 
 
-@lru_cache(maxsize=None)
+# Bounded so that long-lived use does not grow memory: a subdivision is
+# larger than its complex, and the cache keeps both alive.
+_SUBDIVISION_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_SUBDIVISION_CACHE_SIZE)
 def barycentric_subdivision(K: SimplicialComplex) -> SubdivisionMap:
     """Order complex of the face poset of K: vertices are barycenters of
     nonempty faces, facets are the maximal chains."""

@@ -100,3 +100,21 @@ def dense_reduced_betti(facets, p=None):
     for k in range(top + 1):
         betti[k] = len(by_dim[k]) - ranks[k] - ranks[k + 1]
     return betti
+
+
+def dense_relative_betti(facets_K, facets_L, p=None):
+    """Betti numbers of the pair (K, L) as a dict degree -> int, degrees
+    0..dim K: the boundary of K restricted to the quotient bases (faces of
+    K not in L), unreduced."""
+    by_dim = enumerate_faces(facets_K)
+    l_faces = {f for faces in enumerate_faces(facets_L).values() for f in faces}
+    if not by_dim:
+        return {}
+    top = max(by_dim)
+    keep = {k: [i for i, f in enumerate(by_dim[k]) if f not in l_faces] for k in by_dim}
+    ranks = {0: 0, top + 1: 0}  # no boundary out of relative 0-chains
+    for k in range(1, top + 1):
+        full = dense_boundary(by_dim[k - 1], by_dim[k])
+        quotient = [[full[i][j] for j in keep[k]] for i in keep[k - 1]]
+        ranks[k] = dense_rank(quotient, p)
+    return {k: len(keep[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1)}

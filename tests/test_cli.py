@@ -97,6 +97,14 @@ def test_sd_command(tetra, tmp_path):
     assert "euler characteristic: 2" in info.stdout
 
 
+def test_sd_negative_times_is_input_error(tetra, tmp_path):
+    out = tmp_path / "sd.json"
+    result = run_cli("sd", tetra, "--times", "-1", "--out", str(out))
+    assert result.returncode == 2
+    assert "error: --times must be a non-negative integer" in result.stderr
+    assert not out.exists()
+
+
 def test_relbetti(tmp_path):
     (tmp_path / "disk.json").write_text(json.dumps({"facets": [["a", "b", "c"]]}))
     (tmp_path / "rim.json").write_text(

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rainbowcheck import (
     DEFAULT_FIELDS,
@@ -18,9 +21,10 @@ from rainbowcheck import (
     reduced_betti,
     relative_betti,
 )
+from rainbowcheck import homology
 from rainbowcheck.generators import generate
 
-from oracle import dense_reduced_betti
+from oracle import dense_rank, dense_reduced_betti, dense_relative_betti
 
 TETRA_BOUNDARY = [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", "d"]]
 
@@ -59,8 +63,6 @@ def test_field_rank_three_cycle_boundary():
 
 
 def test_field_rank_rational_entries():
-    from fractions import Fraction
-
     M = SparseMatrix(
         2, 2, ((0, 0, Fraction(1, 2)), (0, 1, Fraction(1, 3)), (1, 0, 3), (1, 1, 2))
     )
@@ -194,3 +196,84 @@ def test_rank_equals_rank_of_transpose(field):
         mats = boundary_matrices(generate(name).complex, field)
         for M in mats.boundaries.values():
             assert field_rank(M, field) == field_rank(M.transpose(), field)
+
+
+def test_betti_cache_is_bounded_and_still_hits():
+    bound = homology._BETTI_CACHE_SIZE
+    edges = [from_facets([[i, i + 1]]) for i in range(bound + 10)]
+    first = reduced_betti(edges[0], GF2)
+    for K in edges:
+        reduced_betti(K, GF2)
+    assert len(homology._betti_cache) <= bound
+    assert reduced_betti(edges[0], GF2) is not first  # evicted, recomputed
+    last = reduced_betti(edges[-1], GF2)
+    assert reduced_betti(edges[-1], GF2) is last
+
+
+# Random non-pure complexes on at most 8 vertices, as raw facet lists.
+facet_lists = st.lists(
+    st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True), max_size=8
+)
+ORACLE_FIELDS = [(GF2, 2), (GF3, 3), (QQ, None)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(facet_lists)
+@example([[0, 1, 2, 3, 4], [1, 5]])  # clearing must use the pivots of the degree above
+def test_reduced_betti_matches_oracle(facets):
+    K = from_facets(facets)
+    for field, p in ORACLE_FIELDS:
+        assert reduced_betti(K, field).as_dict(-1, K.dim) == dense_reduced_betti(facets, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(facet_lists, st.sets(st.integers(0, 7)))
+@example([[1, 5], [0, 1, 2, 3, 4]], set())
+def test_relative_betti_matches_oracle_for_induced_subcomplex(facets, W):
+    L_facets = [sorted(W.intersection(f)) for f in facets if W.intersection(f)]
+    K, L = from_facets(facets), from_facets(L_facets)
+    for field, p in ORACLE_FIELDS:
+        expected = dense_relative_betti(facets, L_facets, p)
+        assert relative_betti(K, L, field).as_dict(0, K.dim) == expected
+
+
+def test_torsion_reduced_and_relative_match_oracle():
+    # RP^2 has 2-torsion in H_1, so GF(2) and Q give different numbers for
+    # it and for the pair (RP^2, an edge)
+    facets = sorted(generate("rp2_6").complex.facets)
+    edge = [list(facets[0][:2])]
+    K, L = from_facets(facets), from_facets(edge)
+    results = {}
+    for field, p in ORACLE_FIELDS:
+        assert reduced_betti(K, field).as_dict(-1, 2) == dense_reduced_betti(facets, p)
+        results[p] = relative_betti(K, L, field).as_dict(0, 2)
+        assert results[p] == dense_relative_betti(facets, edge, p)
+    assert results[2] == {0: 0, 1: 1, 2: 1} and results[None] == {0: 0, 1: 0, 2: 0}
+
+
+def _sparse(rows):
+    entries = tuple(
+        (r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row) if v
+    )
+    return SparseMatrix(len(rows), len(rows[0]) if rows else 0, entries)
+
+
+def _matrices(elements):
+    return st.integers(0, 6).flatmap(
+        lambda n: st.lists(st.lists(elements, min_size=n, max_size=n), max_size=6)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrices(st.integers(-3, 3)))
+def test_field_rank_matches_oracle_on_integer_matrices(rows):
+    M = _sparse(rows)
+    for p in (2, 3, 5):
+        assert field_rank(M, FieldSpec(p)) == dense_rank(rows, p)
+    assert field_rank(M, QQ) == dense_rank(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrices(st.fractions(-3, 3, max_denominator=4)))
+def test_field_rank_matches_oracle_on_fraction_matrices(rows):
+    assert field_rank(_sparse(rows), QQ) == dense_rank(rows)

@@ -12,6 +12,7 @@ from rainbowcheck import (
     reduced_betti,
     supplement_complex,
 )
+from rainbowcheck import subdivision
 from rainbowcheck.generators import generate
 
 TETRA_BOUNDARY = [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", "d"]]
@@ -105,3 +106,13 @@ def test_neighborhood_and_supplement_cover_sd_vertices():
         if U:
             covered |= set(derived_neighborhood(U, K).vertices)
         assert covered == sd_vertices
+
+
+def test_subdivision_cache_is_bounded_and_still_hits():
+    bound = subdivision._SUBDIVISION_CACHE_SIZE
+    for i in range(bound + 5):
+        barycentric_subdivision(from_facets([[i, i + 1]]))
+    assert barycentric_subdivision.cache_info().currsize <= bound
+    K = from_facets([["a", "b", "c"]])
+    first = barycentric_subdivision(K)
+    assert barycentric_subdivision(K) is first
