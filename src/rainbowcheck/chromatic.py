@@ -6,12 +6,18 @@ requested fields and reported as proxy-pass, never pass; manifold-structure
 hypotheses are reported as assumed (with the pseudomanifold report attached).
 A homological condition quantified over fields counts as holding when it
 holds over at least one requested field.
+
+Every checker is one entry of a hypothesis table (`_THEOREMS`): an arity
+rule and an ordered list of rows, each a verdict kind over color subsets
+and fields.  One sweep (`_Sweep.verdicts`) evaluates the rows of any
+checker, and of the Alexander-duality audit, building each K_S once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property, partial
 
 from .complexes import (
     SimplicialComplex,
@@ -28,8 +34,6 @@ PROXY_FAIL = "proxy-fail"
 ASSUMED = "assumed"
 
 _OK = (PASS, PROXY_PASS, ASSUMED)
-
-THEOREM_IDS = ("meshulam", "surface", "three", "four", "n", "sphere")
 
 
 class ArityError(ValueError):
@@ -168,273 +172,237 @@ def _assemble(theorem_id, verdicts, witnesses, fields) -> CheckReport:
     """all_hold: every field-independent verdict ok, and all field-scoped
     verdicts ok over at least one field."""
     global_ok = all(v.ok for v in verdicts if "field" not in v.detail)
-    field_names = [str(f) for f in fields]
     scoped = [v for v in verdicts if "field" in v.detail]
-    if scoped and field_names:
-        some_field = any(
-            all(v.ok for v in scoped if v.detail["field"] == name) for name in field_names
-        )
-    else:
-        some_field = True
+    some_field = not scoped or any(
+        all(v.ok for v in scoped if v.detail["field"] == str(F)) for F in fields
+    )
     all_hold = global_ok and some_field
     witnesses = tuple(witnesses)
     consistent = (not all_hold) or bool(witnesses)
     return CheckReport(theorem_id, tuple(verdicts), all_hold, witnesses, consistent)
 
 
-def _nonempty_subsets(n_classes: int):
-    subsets = []
-    for size in range(1, n_classes + 1):
-        subsets.extend(itertools.combinations(range(n_classes), size))
-    return sorted(subsets)
+def _subsets(m: int, sizes):
+    """Color subsets of range(m) with the given sizes, size-major, each
+    size in lexicographic order."""
+    return [S for size in sizes for S in itertools.combinations(range(m), size)]
+
+
+class _Sweep:
+    """One check's complexes: K, its coloring, and each K_S and (dK)_S
+    (dK the boundary complex) built once, however many rows read them."""
+
+    def __init__(self, K: SimplicialComplex, C: Coloring):
+        self.K, self.C = K, C
+        self._built = {}
+
+    @cached_property
+    def boundary(self) -> SimplicialComplex:
+        return boundary_complex(self.K)
+
+    def sub(self, S, boundary=False) -> SimplicialComplex:
+        key = (S, boundary)
+        if key not in self._built:
+            L = self.boundary if boundary else self.K
+            self._built[key] = chromatic_subcomplex(L, self.C, S)
+        return self._built[key]
+
+    def verdicts(self, rows, fields):
+        """The rows' verdicts, row by row: over each row's color subsets S
+        (or once, on K itself), and within S over the fields when the row
+        is field-scoped."""
+        out = []
+        for row in rows:
+            for S in row.subsets(self.K.dim, self.C.num_classes) if row.subsets else [None]:
+                KS = self.K if S is None else self.sub(S)
+                for F in fields if row.per_field else [None]:
+                    holds, detail = row.test(self, S, KS, F)
+                    vid = row.id.format(*(S or ()), S=list(S or ()))
+                    out.append(HypothesisVerdict(vid, row.statuses[not holds], detail))
+        return out
+
+
+@dataclass(frozen=True)
+class _Row:
+    """One kind of verdict: its id (formatted with the members of S and
+    S=list(S)), its test (sweep, S, K_S, F) -> (holds, detail), the color
+    subsets it ranges over as a function of (dim, classes) (None: once, on
+    K itself), its (held, failed) statuses, and whether it is per field."""
+
+    id: str
+    test: object
+    subsets: object = None
+    statuses: tuple = (PASS, FAIL)
+    per_field: bool = True
+
+
+def _every_subset(n, m):
+    return sorted(_subsets(m, range(1, m + 1)))
+
+
+def _classes(n, m):
+    return _subsets(m, [1])
+
+
+def _pairs(n, m):
+    return _subsets(m, [2])
+
+
+def _below_top(n, m):
+    return _subsets(m, range(1, n))
+
+
+def _vanishing(shift, sweep, S, KS, F):
+    # b~_{|S|+shift}(K_S) = 0; degree -1 also requires degree 0 (connected).
+    betti = reduced_betti(KS, F)
+    d = len(S) + shift
+    val = betti[d] if d >= 0 else betti[-1] + betti[0]
+    return val == 0, {"S": list(S), "degree": max(d, 0), "field": str(F), "betti": val}
+
+
+def _relative_h1(sweep, S, KS, F):
+    val = relative_betti(KS, sweep.sub(S, boundary=True), F)[1]
+    return val == 0, {"i": S[0], "field": str(F), "betti": val}
+
+
+def _class_acyclic(with_boundary, sweep, S, KS, F):
+    interior_ok = is_acyclic(KS, F)
+    part = sweep.sub(S, boundary=True) if with_boundary else SimplicialComplex()
+    bd_ok = part.is_empty or is_acyclic(part, F)
+    detail = {"i": S[0], "field": str(F), "class_acyclic": interior_ok, "boundary_part_ok": bd_ok}
+    return interior_ok and bd_ok, detail
+
+
+def _ambient_vanishing(sweep, S, K, F):
+    betti = reduced_betti(K, F)
+    degrees = list(range(2, K.dim))
+    bad = {k: betti[k] for k in degrees if betti[k] != 0}
+    return not bad, {"field": str(F), "degrees": degrees, "nonzero": bad}
+
+
+def _homology_sphere(sweep, S, K, F):
+    betti = reduced_betti(K, F)
+    return betti == sphere_betti(K.dim), {"field": str(F), "betti": betti}
+
+
+def _spine(sweep, S, KS, F):
+    # A complex retracting to an i-dimensional spine has no homology above
+    # degree i; here i = |S| - 1 (a handlebody neighborhood for |S| = 2).
+    betti = reduced_betti(KS, F)
+    bad = {k: betti[k] for k in range(len(S), sweep.K.dim + 1) if betti[k] != 0}
+    return not bad, {"S": list(S), "field": str(F), "nonzero": bad}
+
+
+def _edge(sweep, S, KS, F):
+    # K_S holds only the classes in S, so a two-colored edge of K_S joins them.
+    class_of = sweep.C.class_of
+    return any(class_of[a] != class_of[b] for a, b in KS._faces(1)), {"i": S[0], "j": S[1]}
+
+
+def _classes_nonempty(sweep, S, K, F):
+    empty = [i for i, cls in enumerate(sweep.C.classes) if not cls]
+    return not empty, {"empty_classes": empty}
+
+
+def _pseudomanifold(sweep, S, K, F):
+    return True, {"pseudomanifold": pseudomanifold_report(K)}
+
+
+def _manifold(label):
+    return _Row(label, _pseudomanifold, statuses=(ASSUMED, ASSUMED), per_field=False)
+
+
+def _duality(sweep, S, KS, F):
+    n = sweep.K.dim
+    lhs_degree, rhs_degree = len(S) - 2, n + 1 - len(S)
+    lhs = reduced_betti(KS, F)[lhs_degree]
+    rhs = reduced_betti(sweep.sub(tuple(i for i in range(n + 1) if i not in S)), F)[rhs_degree]
+    equal = lhs == rhs
+    entry = {"S": list(S), "lhs_degree": lhs_degree, "lhs": lhs}
+    return equal, {**entry, "rhs_degree": rhs_degree, "rhs": rhs, "equal": equal}
+
+
+_PROXY = (PROXY_PASS, PROXY_FAIL)
+_NONEMPTY = _Row("classes_nonempty", _classes_nonempty, per_field=False)
+_AMBIENT = _Row("ambient_vanishing", _ambient_vanishing)
+_EDGES = _Row("edge[{0},{1}]", _edge, _pairs, per_field=False)
+_RELATIVE_H1 = _Row("relative_h1[i={0}]", _relative_h1, _classes)
+_CLASS_ACYCLIC = _Row("class_acyclic[i={0}]", partial(_class_acyclic, True), _classes, _PROXY)
+# The four checker tests the classes alone, not their parts in the boundary.
+_INTERIOR_ACYCLIC = _Row("class_acyclic[i={0}]", partial(_class_acyclic, False), _classes, _PROXY)
+_PAIR_SPINE = _Row("pair_spine[S={S}]", _spine, _pairs, _PROXY)
+_SPINE = _Row("spine[S={S}]", _spine, _below_top, _PROXY)
+_HOMOLOGY_SPHERE = _Row("homology_sphere", _homology_sphere, statuses=_PROXY)
+_MESHULAM_VANISHING = _Row("vanishing[S={S}]", partial(_vanishing, -2), _every_subset)
+_SPHERE_VANISHING = _Row("vanishing[S={S}]", partial(_vanishing, 0), _below_top)
+_DUALITY = _Row("duality[S={S}]", _duality, lambda n, m: _subsets(m, range(1, n + 1)))
+
+
+@dataclass(frozen=True)
+class _Theorem:
+    """A checker's arity rule and its rows in verdict order.  It needs
+    dim + 1 classes, and dimension `dim` unless that is None; `closed`
+    requires every ridge in two facets; with `arity_verdict` a mismatch is a
+    failed "arity" verdict instead of an ArityError."""
+
+    rows: tuple
+    dim: int | None = None
+    closed: bool = False
+    arity_verdict: bool = False
+
+
+_THEOREMS = {
+    "meshulam": _Theorem((_MESHULAM_VANISHING,), arity_verdict=True),
+    "surface": _Theorem((_manifold("surface_manifold"), _NONEMPTY, _RELATIVE_H1), dim=2),
+    "three": _Theorem((_manifold("three_manifold"), _AMBIENT, _CLASS_ACYCLIC, _EDGES), dim=3),
+    "four": _Theorem(
+        (_manifold("four_manifold"), _AMBIENT, _EDGES, _INTERIOR_ACYCLIC, _PAIR_SPINE), dim=4
+    ),
+    "n": _Theorem((_manifold("n_manifold"), _AMBIENT, _SPINE), closed=True),
+    "sphere": _Theorem((_HOMOLOGY_SPHERE, _SPHERE_VANISHING)),
+}
+THEOREM_IDS = tuple(_THEOREMS)
 
 
 def check_meshulam(K: SimplicialComplex, C: Coloring, F: FieldSpec) -> CheckReport:
     """Check the vanishing condition b~_{|S|-2}(K_S) = 0 for every nonempty
     color subset S over the field F; sufficient for a rainbow simplex.
+    Same as check_theorem(K, C, "meshulam", [F]).
 
     For |S| = 1 the verdict requires K_S to be nonempty AND connected
     (degrees -1 and 0).  This is a deliberate strengthening of the bare
     degree -1 reading; the condition stays sufficient, and the extra
     connectivity check is what catches scattered single-color classes.
     """
-    verdicts = []
-    if C.num_classes != K.dim + 1:
-        verdicts.append(
-            HypothesisVerdict(
-                "arity",
-                FAIL,
-                {"classes": C.num_classes, "dim": K.dim, "expected_classes": K.dim + 1},
-            )
-        )
-        return _assemble("meshulam", verdicts, (), [F])
-    for S in _nonempty_subsets(C.num_classes):
-        KS = chromatic_subcomplex(K, C, S)
-        betti = reduced_betti(KS, F)
-        d = max(len(S) - 2, 0)
-        val = betti[d] if len(S) > 1 else betti[-1] + betti[0]
-        verdicts.append(
-            HypothesisVerdict(
-                f"vanishing[S={list(S)}]",
-                PASS if val == 0 else FAIL,
-                {"S": list(S), "degree": d, "field": str(F), "betti": val},
-            )
-        )
-    witnesses = rainbow_simplices(K, C)
-    return _assemble("meshulam", verdicts, witnesses, [F])
-
-
-def _pairwise_edge_verdicts(K, C):
-    edges = K._faces(1) if K.dim >= 1 else []
-    present = set()
-    for a, b in edges:
-        ca, cb = C.class_of.get(a), C.class_of.get(b)
-        if ca is not None and cb is not None and ca != cb:
-            present.add((min(ca, cb), max(ca, cb)))
-    verdicts = []
-    for i, j in itertools.combinations(range(C.num_classes), 2):
-        ok = (i, j) in present
-        verdicts.append(
-            HypothesisVerdict(f"edge[{i},{j}]", PASS if ok else FAIL, {"i": i, "j": j})
-        )
-    return verdicts
-
-
-def _classes_nonempty_verdict(C):
-    empty = [i for i, cls in enumerate(C.classes) if not cls]
-    return HypothesisVerdict(
-        "classes_nonempty", PASS if not empty else FAIL, {"empty_classes": empty}
-    )
-
-
-def _manifold_verdict(K, label):
-    return HypothesisVerdict(label, ASSUMED, {"pseudomanifold": pseudomanifold_report(K)})
-
-
-def _is_closed(K):
-    return pseudomanifold_report(K).is_closed
+    return check_theorem(K, C, "meshulam", [F])
 
 
 def check_theorem(K: SimplicialComplex, C: Coloring, theorem_id: str, fields) -> CheckReport:
     """Run the hypothesis checks of one of the named sufficient-condition
-    theorems; returns per-condition verdicts, rainbow witnesses, and the
-    computed consistency flag."""
+    theorems over the given fields; returns per-condition verdicts, rainbow
+    witnesses, and the computed consistency flag.  For "meshulam" over
+    several fields, all_hold is true iff check_meshulam holds over one of
+    them."""
     fields = list(fields)
     if not fields:
         raise ValueError("at least one field is required")
-    if theorem_id == "meshulam":
-        if len(fields) == 1:
-            return check_meshulam(K, C, fields[0])
-        raise ValueError("check_meshulam takes a single field; call it per field")
-    if theorem_id not in THEOREM_IDS:
+    theorem = _THEOREMS.get(theorem_id)
+    if theorem is None:
         raise ValueError(f"unknown theorem id {theorem_id!r}")
-    n = K.dim
-    m1 = C.num_classes
-
-    if theorem_id == "surface":
-        if n != 2 or m1 != 3:
-            raise ArityError(f"surface checker needs dim 2 and 3 classes, got dim {n}, {m1} classes")
-        return _check_surface(K, C, fields)
-    if theorem_id == "three":
-        if n != 3 or m1 != 4:
-            raise ArityError(f"three checker needs dim 3 and 4 classes, got dim {n}, {m1} classes")
-        return _check_three(K, C, fields)
-    if theorem_id == "four":
-        if n != 4 or m1 != 5:
-            raise ArityError(f"four checker needs dim 4 and 5 classes, got dim {n}, {m1} classes")
-        return _check_four(K, C, fields)
-    if theorem_id == "n":
-        if m1 != n + 1:
-            raise ArityError(f"n checker needs dim+1 classes, got dim {n}, {m1} classes")
-        if not _is_closed(K):
-            raise ArityError("n checker requires a closed complex (every ridge in 2 facets)")
-        return _check_n(K, C, fields)
-    # sphere
-    if m1 != n + 1:
-        raise ArityError(f"sphere checker needs dim+1 classes, got dim {n}, {m1} classes")
-    return _check_sphere(K, C, fields)
-
-
-def _check_surface(K, C, fields):
-    verdicts = [_manifold_verdict(K, "surface_manifold"), _classes_nonempty_verdict(C)]
-    dK = boundary_complex(K)
-    for i in range(3):
-        Ki = chromatic_subcomplex(K, C, (i,))
-        Ki_bd = (
-            induced_subcomplex(dK, C.classes[i] & set(dK.vertices))
-            if not dK.is_empty
-            else SimplicialComplex()
+    n, m = K.dim, C.num_classes
+    if m != n + 1 or theorem.dim not in (None, n):
+        if theorem.arity_verdict:
+            detail = {"classes": m, "dim": n, "expected_classes": n + 1}
+            return _assemble(theorem_id, [HypothesisVerdict("arity", FAIL, detail)], (), fields)
+        d = theorem.dim
+        need = "dim+1 classes" if d is None else f"dim {d} and {d + 1} classes"
+        raise ArityError(f"{theorem_id} checker needs {need}, got dim {n}, {m} classes")
+    if theorem.closed and not pseudomanifold_report(K).is_closed:
+        raise ArityError(
+            f"{theorem_id} checker requires a closed complex (every ridge in 2 facets)"
         )
-        for F in fields:
-            val = relative_betti(Ki, Ki_bd, F)[1]
-            verdicts.append(
-                HypothesisVerdict(
-                    f"relative_h1[i={i}]",
-                    PASS if val == 0 else FAIL,
-                    {"i": i, "field": str(F), "betti": val},
-                )
-            )
-    return _assemble("surface", verdicts, rainbow_simplices(K, C), fields)
-
-
-def _acyclic_class_verdicts(K, C, fields, dK):
-    verdicts = []
-    for i in range(C.num_classes):
-        Ki = chromatic_subcomplex(K, C, (i,))
-        Ki_bd = (
-            induced_subcomplex(dK, C.classes[i] & set(dK.vertices))
-            if not dK.is_empty
-            else SimplicialComplex()
-        )
-        for F in fields:
-            interior_ok = is_acyclic(Ki, F)
-            bd_ok = Ki_bd.is_empty or is_acyclic(Ki_bd, F)
-            verdicts.append(
-                HypothesisVerdict(
-                    f"class_acyclic[i={i}]",
-                    PROXY_PASS if interior_ok and bd_ok else PROXY_FAIL,
-                    {
-                        "i": i,
-                        "field": str(F),
-                        "class_acyclic": interior_ok,
-                        "boundary_part_ok": bd_ok,
-                    },
-                )
-            )
-    return verdicts
-
-
-def _vanishing_verdicts(K, fields, degrees, label="ambient_vanishing"):
-    verdicts = []
-    for F in fields:
-        betti = reduced_betti(K, F)
-        bad = {k: betti[k] for k in degrees if betti[k] != 0}
-        verdicts.append(
-            HypothesisVerdict(
-                label,
-                PASS if not bad else FAIL,
-                {"field": str(F), "degrees": list(degrees), "nonzero": bad},
-            )
-        )
-    return verdicts
-
-
-def _check_three(K, C, fields):
-    verdicts = [_manifold_verdict(K, "three_manifold")]
-    verdicts += _vanishing_verdicts(K, fields, [2])
-    verdicts += _acyclic_class_verdicts(K, C, fields, boundary_complex(K))
-    verdicts += _pairwise_edge_verdicts(K, C)
-    return _assemble("three", verdicts, rainbow_simplices(K, C), fields)
-
-
-def _check_four(K, C, fields):
-    verdicts = [_manifold_verdict(K, "four_manifold")]
-    verdicts += _vanishing_verdicts(K, fields, [2, 3])
-    verdicts += _pairwise_edge_verdicts(K, C)
-    verdicts += _acyclic_class_verdicts(K, C, fields, SimplicialComplex())
-    # Handlebody-neighborhood proxy: no homology above the 1-dimensional spine.
-    for S in itertools.combinations(range(5), 2):
-        KS = chromatic_subcomplex(K, C, S)
-        for F in fields:
-            betti = reduced_betti(KS, F)
-            bad = {k: betti[k] for k in range(2, K.dim + 1) if betti[k] != 0}
-            verdicts.append(
-                HypothesisVerdict(
-                    f"pair_spine[S={list(S)}]",
-                    PROXY_PASS if not bad else PROXY_FAIL,
-                    {"S": list(S), "field": str(F), "nonzero": bad},
-                )
-            )
-    return _assemble("four", verdicts, rainbow_simplices(K, C), fields)
-
-
-def _check_n(K, C, fields):
-    n = K.dim
-    verdicts = [_manifold_verdict(K, "n_manifold")]
-    verdicts += _vanishing_verdicts(K, fields, list(range(2, n)))
-    # Spine proxy: a complex retracting to an i-dimensional spine has no
-    # homology above degree i; here i = |S| - 1.
-    for size in range(1, n):
-        for S in itertools.combinations(range(n + 1), size):
-            KS = chromatic_subcomplex(K, C, S)
-            for F in fields:
-                betti = reduced_betti(KS, F)
-                bad = {k: betti[k] for k in range(size, K.dim + 1) if betti[k] != 0}
-                verdicts.append(
-                    HypothesisVerdict(
-                        f"spine[S={list(S)}]",
-                        PROXY_PASS if not bad else PROXY_FAIL,
-                        {"S": list(S), "field": str(F), "nonzero": bad},
-                    )
-                )
-    return _assemble("n", verdicts, rainbow_simplices(K, C), fields)
-
-
-def _check_sphere(K, C, fields):
-    n = K.dim
-    verdicts = []
-    for F in fields:
-        is_sphere = reduced_betti(K, F) == sphere_betti(n)
-        verdicts.append(
-            HypothesisVerdict(
-                "homology_sphere",
-                PROXY_PASS if is_sphere else PROXY_FAIL,
-                {"field": str(F), "betti": reduced_betti(K, F)},
-            )
-        )
-    for size in range(1, n):
-        for S in itertools.combinations(range(n + 1), size):
-            KS = chromatic_subcomplex(K, C, S)
-            for F in fields:
-                val = reduced_betti(KS, F)[size]
-                verdicts.append(
-                    HypothesisVerdict(
-                        f"vanishing[S={list(S)}]",
-                        PASS if val == 0 else FAIL,
-                        {"S": list(S), "degree": size, "field": str(F), "betti": val},
-                    )
-                )
-    return _assemble("sphere", verdicts, rainbow_simplices(K, C), fields)
+    verdicts = _Sweep(K, C).verdicts(theorem.rows, fields)
+    return _assemble(theorem_id, verdicts, rainbow_simplices(K, C), fields)
 
 
 @dataclass(frozen=True)
@@ -462,23 +430,5 @@ def alexander_duality_audit(K: SimplicialComplex, C: Coloring, F: FieldSpec) -> 
     errors = coloring_errors(K, C)
     if errors:
         raise ValueError("; ".join(errors))
-    entries = []
-    passed = True
-    for size in range(1, n + 1):
-        for S in itertools.combinations(range(n + 1), size):
-            comp = tuple(i for i in range(n + 1) if i not in S)
-            lhs = reduced_betti(chromatic_subcomplex(K, C, S), F)[size - 2]
-            rhs = reduced_betti(chromatic_subcomplex(K, C, comp), F)[n + 1 - size]
-            equal = lhs == rhs
-            passed = passed and equal
-            entries.append(
-                {
-                    "S": list(S),
-                    "lhs_degree": size - 2,
-                    "lhs": lhs,
-                    "rhs_degree": n + 1 - size,
-                    "rhs": rhs,
-                    "equal": equal,
-                }
-            )
-    return DualityAudit(F, tuple(entries), passed)
+    verdicts = _Sweep(K, C).verdicts([_DUALITY], [F])
+    return DualityAudit(F, tuple(v.detail for v in verdicts), all(v.ok for v in verdicts))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -24,7 +25,6 @@ from .chromatic import (
     CheckReport,
     THEOREM_IDS,
     alexander_duality_audit,
-    check_meshulam,
     check_theorem,
     coloring_errors,
     rainbow_simplices,
@@ -41,6 +41,9 @@ from .homology import QQ, parse_field, reduced_betti, relative_betti
 from .subdivision import barycentric_subdivision
 
 REPORT_SCHEMA_VERSION = 1
+
+# `sd` refuses, before subdividing, an output of more facets than this.
+MAX_SD_FACETS = 250_000
 
 
 class InputError(Exception):
@@ -175,6 +178,12 @@ def _cmd_sd(args):
     if args.times < 0:
         raise InputError(f"--times must be a non-negative integer, got {args.times}")
     K, _ = parse_instance(args.path)
+    # Each subdivision turns a facet of k vertices into k! facets of k
+    # vertices.  A factor of 2 or more to a power above the limit's bit
+    # length is over the limit, so the power is capped there.
+    power = min(args.times, MAX_SD_FACETS.bit_length())
+    if sum(math.factorial(len(f)) ** power for f in K.facets) > MAX_SD_FACETS:
+        raise InputError(f"sd --times {args.times} would make more than {MAX_SD_FACETS} facets")
     for _ in range(args.times):
         if K.is_empty:
             raise InputError("cannot subdivide the empty complex")
@@ -210,20 +219,18 @@ def _cmd_check(args):
     K, coloring = parse_instance(args.path)
     coloring = _need_coloring(coloring, args.path)
     fields = [parse_field(f) for f in args.field] or [QQ]
+    # Meshulam is reported field by field, the other theorems in one report.
+    per_field = args.theorem == "meshulam"
+    groups = [[F] for F in fields] if per_field else [fields]
     start = time.monotonic()
     try:
-        if args.theorem == "meshulam":
-            reports = [check_meshulam(K, coloring, F) for F in fields]
-            overall = any(r.all_hold for r in reports)
-        else:
-            reports = [check_theorem(K, coloring, args.theorem, fields)]
-            overall = reports[0].all_hold
+        reports = [check_theorem(K, coloring, args.theorem, group) for group in groups]
     except ValueError as exc:
         raise InputError(str(exc))
     elapsed = time.monotonic() - start
-    for F, report in zip(fields if args.theorem == "meshulam" else [None], reports):
-        header = f"theorem {args.theorem}" + (f" over {F}" if F is not None else "")
-        print(header)
+    overall = any(r.all_hold for r in reports)
+    for group, report in zip(groups, reports):
+        print(f"theorem {args.theorem}" + (f" over {group[0]}" if per_field else ""))
         _print_report(report)
     if args.json:
         _write_json(_report_json(args.theorem, fields, reports, overall, elapsed), args.json)

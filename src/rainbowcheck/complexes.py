@@ -1,9 +1,9 @@
 """Finite abstract simplicial complexes, stored by their maximal faces.
 
 A complex is immutable after construction. Vertex labels must be mutually
-comparable (all strings or all integers, say); the sorted order of the
-labels is frozen at construction and determines all orientation signs
-downstream.
+comparable (all strings or all integers, say; otherwise construction raises
+ValueError); the sorted order of the labels is frozen at construction and
+determines all orientation signs downstream.
 """
 
 from __future__ import annotations
@@ -17,8 +17,17 @@ from dataclasses import dataclass
 Simplex = tuple
 
 
+def _sorted_labels(labels) -> list:
+    try:
+        return sorted(labels)
+    except TypeError:
+        kinds = {type(v).__name__: v for v in labels}
+        named = ", ".join(f"{v!r} ({kind})" for kind, v in sorted(kinds.items()))
+        raise ValueError(f"vertex labels must be mutually comparable, got {named}") from None
+
+
 def _normalize_facet(vertices) -> Simplex:
-    vs = tuple(sorted(vertices))
+    vs = tuple(_sorted_labels(vertices))
     if not vs:
         raise ValueError("empty facet is not allowed")
     for a, b in zip(vs, vs[1:]):
@@ -61,7 +70,7 @@ class SimplicialComplex:
             if not any(fs <= as_sets[g] for g in larger):
                 maximal.add(f)
         self.facets = frozenset(maximal)
-        self.vertices = tuple(sorted({v for f in maximal for v in f}))
+        self.vertices = tuple(_sorted_labels({v for f in maximal for v in f}))
         self.dim = max((len(f) - 1 for f in maximal), default=-1)
         self._facet_sets = [frozenset(f) for f in sorted(maximal)]
         self._face_table = {-1: [()]}
@@ -105,9 +114,6 @@ class SimplicialComplex:
     def has_face(self, simplex) -> bool:
         s = frozenset(simplex)
         return any(s <= f for f in self._facet_sets)
-
-    def induced(self, W) -> "SimplicialComplex":
-        return induced_subcomplex(self, W)
 
 
 def from_facets(facet_lists) -> SimplicialComplex:

@@ -41,10 +41,6 @@ class FieldSpec:
             raise ValueError(f"{self.p} is not a prime below 2**31")
 
     @classmethod
-    def gf(cls, p: int) -> "FieldSpec":
-        return cls(p)
-
-    @classmethod
     def rationals(cls) -> "FieldSpec":
         return cls(0)
 
@@ -57,9 +53,9 @@ class FieldSpec:
 
 
 QQ = FieldSpec.rationals()
-GF2 = FieldSpec.gf(2)
-GF3 = FieldSpec.gf(3)
-GF5 = FieldSpec.gf(5)
+GF2 = FieldSpec(2)
+GF3 = FieldSpec(3)
+GF5 = FieldSpec(5)
 
 # An "over an arbitrary field" hypothesis is reported per field over this menu.
 DEFAULT_FIELDS = (GF2, GF3, GF5, QQ)
@@ -73,7 +69,7 @@ def parse_field(text: str) -> FieldSpec:
     if t.startswith("p:"):
         t = t[2:]
     if t.isdigit():
-        return FieldSpec.gf(int(t))
+        return FieldSpec(int(t))
     raise ValueError(f"cannot parse field {text!r} (expected q, a prime, or p:N)")
 
 
@@ -97,9 +93,6 @@ class SparseMatrix:
         object.__setattr__(
             self, "entries", tuple(sorted(self.entries, key=lambda e: (e[1], e[0])))
         )
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.cols, self.rows, tuple((c, r, v) for r, c, v in self.entries))
 
     def column_dicts(self):
         cols = [dict() for _ in range(self.cols)]
@@ -179,12 +172,23 @@ def _reduce(columns, p: int) -> dict:
     return pivots
 
 
+def _residue(v, p: int) -> int:
+    """v (int or Fraction a/b) mod p, as a * b^-1 when p does not divide b."""
+    v = Fraction(v)
+    if v.denominator % p == 0:
+        raise ValueError(f"entry {v} has no value mod {p}")
+    return v.numerator * pow(v.denominator, -1, p) % p
+
+
 def field_rank(M: SparseMatrix, F: FieldSpec) -> int:
-    """Exact rank of M over F."""
+    """Exact rank of M over F.  Over GF(p) a Fraction entry a/b is read as
+    a * b^-1 mod p; one whose denominator p divides raises ValueError."""
     if F.is_rational:
         columns = (_clear_denominators(col) for col in M.column_dicts())
     else:
-        columns = ({r: v % F.p for r, v in col.items() if v % F.p} for col in M.column_dicts())
+        columns = (
+            {r: x for r, v in col.items() if (x := _residue(v, F.p))} for col in M.column_dicts()
+        )
     return len(_reduce(columns, F.p))
 
 
@@ -262,8 +266,6 @@ class BettiVector:
 
     def __getitem__(self, k: int) -> int:
         return self._values.get(k, 0)
-
-    get = __getitem__
 
     def nonzero(self) -> dict:
         return dict(self._values)

@@ -29,9 +29,6 @@ class SubdivisionMap:
     complex: SimplicialComplex
     carrier: dict  # barycenter label -> Simplex of the original complex
 
-    def carrier_of(self, label):
-        return self.carrier[label]
-
 
 # Bounded so that long-lived use does not grow memory: a subdivision is
 # larger than its complex, and the cache keeps both alive.

@@ -1,8 +1,11 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowcheck import (
+    DEFAULT_FIELDS,
     GF2,
     QQ,
     ArityError,
@@ -226,3 +229,24 @@ def test_report_json_roundtrip(sphere2, coloring_abc):
     back = json.loads(blob)
     assert back["all_hold"] is True
     assert back["rainbow_witnesses"] == [["a", "b", "c"], ["a", "b", "d"]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(
+        ["simplex_boundary(2)", "simplex_boundary(3)", "simplex(3)", "torus7", "rp2_6", "cycle(5)"]
+    ),
+    st.integers(0, 1000),
+    st.booleans(),
+    st.lists(st.sampled_from(DEFAULT_FIELDS), min_size=1, max_size=4, unique=True),
+)
+def test_meshulam_over_several_fields_holds_iff_some_field_does(name, seed, right_arity, fields):
+    K = generate(name).complex
+    coloring = random_coloring(K, K.dim + 1 if right_arity else K.dim, seed)
+    merged = check_theorem(K, coloring, "meshulam", fields)
+    per_field = [check_meshulam(K, coloring, F) for F in fields]
+    assert merged.all_hold == any(r.all_hold for r in per_field)
+    assert merged.consistent
+    for F, report in zip(fields, per_field):
+        scoped = [v for v in merged.verdicts if v.detail.get("field", str(F)) == str(F)]
+        assert scoped == list(report.verdicts)

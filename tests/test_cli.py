@@ -105,6 +105,14 @@ def test_sd_negative_times_is_input_error(tetra, tmp_path):
     assert not out.exists()
 
 
+def test_sd_over_the_facet_limit_is_input_error(tetra, tmp_path):
+    out = tmp_path / "sd.json"
+    result = run_cli("sd", tetra, "--times", "50", "--out", str(out), timeout=30)
+    assert result.returncode == 2
+    assert "error: sd --times 50 would make more than 250000 facets" in result.stderr
+    assert not out.exists()
+
+
 def test_relbetti(tmp_path):
     (tmp_path / "disk.json").write_text(json.dumps({"facets": [["a", "b", "c"]]}))
     (tmp_path / "rim.json").write_text(

@@ -44,6 +44,12 @@ def test_from_facets_rejects_duplicate_vertex():
         from_facets([["a", "a", "b"]])
 
 
+@pytest.mark.parametrize("facets", [[[1, "a"]], [[1], ["a"]]])
+def test_mixed_type_labels_are_rejected(facets):
+    with pytest.raises(ValueError, match=r"mutually comparable, got 1 \(int\), 'a' \(str\)"):
+        SimplicialComplex(facets)
+
+
 def test_empty_complex_is_legal_but_distinct():
     K = from_facets([])
     assert K.is_empty

@@ -31,10 +31,10 @@ TETRA_BOUNDARY = [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", 
 
 def test_fieldspec_rejects_composites():
     with pytest.raises(ValueError):
-        FieldSpec.gf(6)
+        FieldSpec(6)
     with pytest.raises(ValueError):
-        FieldSpec.gf(1)
-    assert str(FieldSpec.gf(7)) == "GF(7)"
+        FieldSpec(1)
+    assert str(FieldSpec(7)) == "GF(7)"
     assert str(QQ) == "Q"
 
 
@@ -195,7 +195,8 @@ def test_rank_equals_rank_of_transpose(field):
     for name in ("torus7", "rp2_6"):
         mats = boundary_matrices(generate(name).complex, field)
         for M in mats.boundaries.values():
-            assert field_rank(M, field) == field_rank(M.transpose(), field)
+            transpose = SparseMatrix(M.cols, M.rows, tuple((c, r, v) for r, c, v in M.entries))
+            assert field_rank(M, field) == field_rank(transpose, field)
 
 
 def test_betti_cache_is_bounded_and_still_hits():
@@ -277,3 +278,24 @@ def test_field_rank_matches_oracle_on_integer_matrices(rows):
 @given(_matrices(st.fractions(-3, 3, max_denominator=4)))
 def test_field_rank_matches_oracle_on_fraction_matrices(rows):
     assert field_rank(_sparse(rows), QQ) == dense_rank(rows)
+
+
+def test_field_rank_reads_fraction_entries_mod_p():
+    half = _sparse([[Fraction(1, 2)]])
+    assert field_rank(half, GF3) == 1  # 1/2 is 2 mod 3
+    with pytest.raises(ValueError, match="1/2 has no value mod 2"):
+        field_rank(half, GF2)
+    # determinant -3/2: rank 2 over Q, 1 over GF(3)
+    M = _sparse([[Fraction(1, 2), 1], [2, 1]])
+    assert (field_rank(M, QQ), field_rank(M, GF3), field_rank(M, GF5)) == (2, 1, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_field_rank_matches_oracle_on_fractions_mod_p(p, data):
+    denominators = st.sampled_from([d for d in range(1, 8) if d % p])
+    rows = data.draw(_matrices(st.builds(Fraction, st.integers(-4, 4), denominators)))
+    # a/b mod p is a * b^(p-2) mod p (Fermat)
+    reduced = [[x.numerator * pow(x.denominator, p - 2, p) % p for x in row] for row in rows]
+    assert field_rank(_sparse(rows), FieldSpec(p)) == dense_rank(reduced, p)
