@@ -8,6 +8,7 @@ determines all orientation signs downstream.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import threading
 from collections import Counter
@@ -50,7 +51,7 @@ class SimplicialComplex:
     its rarest vertex (the one in the fewest candidates).
     """
 
-    __slots__ = ("facets", "vertices", "dim", "_facet_sets", "_face_table", "_lock")
+    __slots__ = ("facets", "vertices", "dim", "_face_table", "_lock")
 
     def __init__(self, facets=()):
         candidates = {_normalize_facet(f) for f in facets}
@@ -69,10 +70,21 @@ class SimplicialComplex:
             larger = itertools.takewhile(lambda g: len(g) > len(f), by_vertex[rarest])
             if not any(fs <= as_sets[g] for g in larger):
                 maximal.add(f)
-        self.facets = frozenset(maximal)
-        self.vertices = tuple(_sorted_labels({v for f in maximal for v in f}))
-        self.dim = max((len(f) - 1 for f in maximal), default=-1)
-        self._facet_sets = [frozenset(f) for f in sorted(maximal)]
+        self._set_facets(maximal, {v for f in maximal for v in f})
+
+    @classmethod
+    def _from_antichain(cls, facets, vertices) -> SimplicialComplex:
+        """Trusted construction: `facets` are strictly sorted, nonempty
+        tuples, no one contained in another, and `vertices` is exactly the
+        set of labels they use.  Nothing is checked or normalized."""
+        K = cls.__new__(cls)
+        K._set_facets(facets, vertices)
+        return K
+
+    def _set_facets(self, facets, vertices):
+        self.facets = frozenset(facets)
+        self.vertices = tuple(_sorted_labels(vertices))
+        self.dim = max((len(f) - 1 for f in self.facets), default=-1)
         self._face_table = {-1: [()]}
         self._lock = threading.Lock()
 
@@ -112,8 +124,15 @@ class SimplicialComplex:
         return len(self._faces(k))
 
     def has_face(self, simplex) -> bool:
-        s = frozenset(simplex)
-        return any(s <= f for f in self._facet_sets)
+        """Whether the vertex set of `simplex` spans a face of K (the empty
+        simplex always does), by binary search in the sorted face table."""
+        try:
+            s = tuple(sorted(set(simplex)))
+            faces = self._faces(len(s) - 1)
+            i = bisect.bisect_left(faces, s)
+        except TypeError:  # a label not comparable with K's is not one of K's
+            return False
+        return i < len(faces) and faces[i] == s
 
 
 def from_facets(facet_lists) -> SimplicialComplex:

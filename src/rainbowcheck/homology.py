@@ -323,13 +323,18 @@ def relative_betti(K: SimplicialComplex, L: SimplicialComplex, F: FieldSpec) -> 
     """Betti numbers of the pair (K, L): quotient chain complex on the faces
     of K not in L.  Relative homology is unreduced (no augmentation); the
     degree -1 entry is fixed at 0."""
-    for f in L.facets:
-        if not K.has_face(f):
-            raise ValueError(f"{f!r} is a facet of L but not a face of K")
     bases = {-1: []}
-    for k in range(0, K.dim + 1):
-        l_faces = set(L._faces(k))
-        bases[k] = [f for f in K._faces(k) if f not in l_faces]
+    for k in range(0, max(K.dim, L.dim) + 1):
+        k_faces, l_faces = K._faces(k), set(L._faces(k))
+        rest = [f for f in k_faces if f not in l_faces]
+        # K's k-faces are distinct, so every k-face of L is one of them
+        # exactly when the ones left out number as many as L's.
+        if len(k_faces) - len(rest) != len(l_faces):
+            missing = set(min(l_faces.difference(k_faces)))
+            facet = min(f for f in L.facets if missing <= set(f))
+            raise ValueError(f"{facet!r} is a facet of L but not a face of K")
+        if k <= K.dim:
+            bases[k] = rest
     return _betti(bases, F.p)
 
 

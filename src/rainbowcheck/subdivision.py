@@ -35,24 +35,47 @@ class SubdivisionMap:
 _SUBDIVISION_CACHE_SIZE = 16
 
 
+@lru_cache(maxsize=8)
+def _maximal_chains(n: int) -> tuple:
+    """The n! maximal chains of nonempty subsets of an n-element set, as
+    tuples of positions in the list of its subsets ordered as
+    `itertools.combinations` gives them, size by size."""
+    subsets = [c for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]
+    position = {c: i for i, c in enumerate(subsets)}
+    return tuple(
+        tuple(position[tuple(sorted(perm[: i + 1]))] for i in range(n))
+        for perm in itertools.permutations(range(n))
+    )
+
+
+def _describe(face) -> str:
+    return f"vertex {face[0]!r}" if len(face) == 1 else f"the barycenter of {face!r}"
+
+
 @lru_cache(maxsize=_SUBDIVISION_CACHE_SIZE)
 def barycentric_subdivision(K: SimplicialComplex) -> SubdivisionMap:
     """Order complex of the face poset of K: vertices are barycenters of
-    nonempty faces, facets are the maximal chains."""
+    nonempty faces, facets are the maximal chains.
+
+    Raises ValueError when two faces would get the same barycenter label
+    (a vertex named 'a|b' beside the edge ab), since the subdivision would
+    then merge two of its vertices."""
     if K.is_empty:
         raise ValueError("cannot subdivide the empty complex")
+    label = {f: barycenter_label(f) for k in range(K.dim + 1) for f in K._faces(k)}
     carrier = {}
-    for k in range(0, K.dim + 1):
-        for f in K._faces(k):
-            carrier[barycenter_label(f)] = f
-    facets = set()
+    for f, name in label.items():
+        g = carrier.setdefault(name, f)
+        if g != f:
+            raise ValueError(f"{_describe(g)} and {_describe(f)} have the same label {name!r}")
+    # Two maximal chains of a face poset are never nested, and distinct
+    # faces have distinct labels, so the chains are already an antichain.
+    facets = []
     for facet in K.facets:
-        for perm in itertools.permutations(facet):
-            chain = tuple(
-                barycenter_label(tuple(sorted(perm[: i + 1]))) for i in range(len(perm))
-            )
-            facets.add(tuple(sorted(chain)))
-    return SubdivisionMap(SimplicialComplex(facets), carrier)
+        n = len(facet)
+        names = [label[s] for r in range(1, n + 1) for s in itertools.combinations(facet, r)]
+        facets.extend(tuple(sorted(map(names.__getitem__, c))) for c in _maximal_chains(n))
+    return SubdivisionMap(SimplicialComplex._from_antichain(facets, carrier), carrier)
 
 
 def derived_neighborhood(U, K: SimplicialComplex) -> SimplicialComplex:

@@ -1,13 +1,13 @@
 """Independent dense-elimination homology oracle for the test suite.
 
 Deliberately shares no code with the package: its own maximal-face
-selection and face enumeration from facet lists, dense boundary matrices,
-and a plain row-reduction rank (Fractions over the rationals, modular
-integers over GF(p)).
+selection, barycentric subdivision and face enumeration from facet
+lists, dense boundary matrices, and a plain row-reduction rank
+(Fractions over the rationals, modular integers over GF(p)).
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 def maximal_faces(facets):
@@ -15,6 +15,19 @@ def maximal_faces(facets):
     strictly contains, by a plain pairwise subset check."""
     faces = {tuple(sorted(set(facet))) for facet in facets}
     return {f for f in faces if not any(set(f) < set(g) for g in faces)}
+
+
+def barycentric_facets(facets):
+    """Set of sorted tuples: the facets of the barycentric subdivision of
+    the complex generated by the raw facet lists.  Each permutation of a
+    maximal face gives the chain of its prefixes, and a face is named by
+    its sorted vertices joined with '|'."""
+    chains = set()
+    for facet in maximal_faces(facets):
+        for perm in permutations(facet):
+            prefixes = (sorted(perm[: i + 1]) for i in range(len(perm)))
+            chains.add(tuple(sorted("|".join(str(v) for v in p) for p in prefixes)))
+    return chains
 
 
 def enumerate_faces(facets):

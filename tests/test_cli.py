@@ -113,6 +113,26 @@ def test_sd_over_the_facet_limit_is_input_error(tetra, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "facets", [[["a", "b"], ["a|b", "c"]], [["a", "b"], ["a|b"]]]
+)
+def test_sd_barycenter_label_collision_is_input_error(tmp_path, facets):
+    path, out = tmp_path / "collide.json", tmp_path / "sd.json"
+    path.write_text(json.dumps({"facets": facets}))
+    result = run_cli("sd", str(path), "--out", str(out))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: vertex 'a|b' and the barycenter of ('a', 'b')")
+    assert not out.exists()
+
+
+def test_sd_twice_through_files_equals_sd_times_two(tetra, tmp_path):
+    once, twice, direct = (tmp_path / name for name in ("once.json", "twice.json", "direct.json"))
+    assert run_cli("sd", tetra, "--out", str(once)).returncode == 0
+    assert run_cli("sd", str(once), "--out", str(twice)).returncode == 0
+    assert run_cli("sd", tetra, "--times", "2", "--out", str(direct)).returncode == 0
+    assert twice.read_bytes() == direct.read_bytes()
+
+
 def test_relbetti(tmp_path):
     (tmp_path / "disk.json").write_text(json.dumps({"facets": [["a", "b", "c"]]}))
     (tmp_path / "rim.json").write_text(

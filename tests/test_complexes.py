@@ -16,7 +16,7 @@ from rainbowcheck import (
 )
 from rainbowcheck.generators import generate
 
-from oracle import maximal_faces
+from oracle import enumerate_faces, maximal_faces
 
 TETRA_BOUNDARY = [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", "d"]]
 
@@ -180,6 +180,15 @@ def test_induced_subcomplex_monotone(facet_lists, w1, w2):
     big = induced_subcomplex(K, w2)
     for f in small.facets:
         assert big.has_face(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_facets, st.lists(st.integers(0, 8), max_size=5))
+def test_has_face_matches_oracle_faces(facet_lists, simplex):
+    K = from_facets(facet_lists)
+    faces = {f for by_dim in enumerate_faces(facet_lists).values() for f in by_dim}
+    assert K.has_face(simplex) == (not simplex or tuple(sorted(set(simplex))) in faces)
+    assert not K.has_face(["a"])
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -144,9 +145,17 @@ def test_relative_betti_empty_subcomplex_is_unreduced():
 
 
 def test_relative_betti_rejects_non_subcomplex():
-    K = from_facets([["a", "b"]])
-    with pytest.raises(ValueError):
-        relative_betti(K, from_facets([["a", "c"]]), QQ)
+    cases = [
+        ([["a", "b"]], [["a", "c"]], ("a", "c")),
+        # the vertex d is missing two degrees below the facet that holds it
+        ([["a", "b", "c"]], [["a", "b"], ["b", "c", "d"]], ("b", "c", "d")),
+        # every proper face of L is in K; only L's facet, above K's dimension, is not
+        ([["a", "b"], ["a", "c"], ["b", "c"]], [["a", "b", "c"]], ("a", "b", "c")),
+    ]
+    for K, L, facet in cases:
+        message = f"{facet!r} is a facet of L but not a face of K"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            relative_betti(from_facets(K), from_facets(L), QQ)
 
 
 def test_long_exact_sequence_spot_check():

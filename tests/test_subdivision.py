@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowcheck import (
     GF2,
     QQ,
+    SimplicialComplex,
     barycentric_subdivision,
     derived_neighborhood,
     from_facets,
@@ -14,6 +17,8 @@ from rainbowcheck import (
 )
 from rainbowcheck import subdivision
 from rainbowcheck.generators import generate
+
+from oracle import barycentric_facets, enumerate_faces
 
 TETRA_BOUNDARY = [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", "d"]]
 
@@ -116,3 +121,39 @@ def test_subdivision_cache_is_bounded_and_still_hits():
     K = from_facets([["a", "b", "c"]])
     first = barycentric_subdivision(K)
     assert barycentric_subdivision(K) is first
+
+
+def _facet_lists(labels):
+    return st.lists(
+        st.lists(labels, min_size=1, max_size=5, unique=True), min_size=1, max_size=8
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_facet_lists(st.integers(0, 7)), _facet_lists(st.sampled_from("abcdefgh"))))
+def test_subdivision_matches_oracle_and_public_constructor(facets):
+    K = SimplicialComplex(facets)
+    sdm = barycentric_subdivision(K)
+    sd = sdm.complex
+    public = SimplicialComplex(list(sd.facets))
+    expected = barycentric_facets(facets)
+    assert sd.facets == expected == public.facets
+    assert sd.vertices == public.vertices == tuple(sorted({v for f in expected for v in f}))
+    assert sd.dim == public.dim == K.dim
+    faces = {f for by_dim in enumerate_faces(facets).values() for f in by_dim}
+    assert set(sdm.carrier.values()) == faces
+    for name, face in sdm.carrier.items():
+        assert name == "|".join(map(str, face))
+
+
+@pytest.mark.parametrize(
+    "facets",
+    [
+        [["a", "b"], ["a|b", "c"]],  # b~_0 = 1; a merged vertex would give a connected sd
+        [["a", "b"], ["a|b"]],  # a merged vertex would leave the chain (a|b) non-maximal
+    ],
+)
+def test_sd_refuses_barycenter_label_collision(facets):
+    with pytest.raises(ValueError, match=r"vertex 'a\|b' and the barycenter of \('a', 'b'\)"):
+        barycentric_subdivision(from_facets(facets))
+
