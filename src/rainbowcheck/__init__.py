@@ -19,7 +19,6 @@ from .complexes import (
     boundary_complex,
     connected_components,
     euler_characteristic,
-    from_facets,
     induced_subcomplex,
     pseudomanifold_report,
     vertex_link,
@@ -31,12 +30,8 @@ from .homology import (
     GF5,
     QQ,
     BettiVector,
-    ChainComplexMatrices,
     DEFAULT_FIELDS,
     FieldSpec,
-    SparseMatrix,
-    boundary_matrices,
-    field_rank,
     is_acyclic,
     parse_field,
     reduced_betti,

@@ -135,11 +135,6 @@ class SimplicialComplex:
         return i < len(faces) and faces[i] == s
 
 
-def from_facets(facet_lists) -> SimplicialComplex:
-    """Build a normalized complex from an iterable of vertex lists."""
-    return SimplicialComplex(facet_lists)
-
-
 def induced_subcomplex(K: SimplicialComplex, W) -> SimplicialComplex:
     """Full subcomplex on the vertex set W: all faces with vertices inside W."""
     W = frozenset(W)

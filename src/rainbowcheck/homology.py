@@ -11,8 +11,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .complexes import SimplicialComplex
 
@@ -73,62 +72,6 @@ def parse_field(text: str) -> FieldSpec:
     raise ValueError(f"cannot parse field {text!r} (expected q, a prime, or p:N)")
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
-    """Sparse matrix with entries in canonical column-major order."""
-
-    rows: int
-    cols: int
-    entries: tuple  # ((row, col, value), ...), no zeros, no duplicate positions
-
-    def __post_init__(self):
-        for r, c, v in self.entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"entry ({r},{c}) out of range")
-            if v == 0:
-                raise ValueError("explicit zero entry")
-        positions = [(c, r) for r, c, _ in self.entries]
-        if len(set(positions)) != len(positions):
-            raise ValueError("duplicate entry position")
-        object.__setattr__(
-            self, "entries", tuple(sorted(self.entries, key=lambda e: (e[1], e[0])))
-        )
-
-    def column_dicts(self):
-        cols = [dict() for _ in range(self.cols)]
-        for r, c, v in self.entries:
-            cols[c][r] = v
-        return cols
-
-    def matmul(self, other: "SparseMatrix", field: FieldSpec) -> "SparseMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        mine = self.column_dicts()
-        out = []
-        for r, c, v in other.entries:
-            # column c of the product accumulates v * (column r of self)
-            out.append((c, r, v))
-        acc = {}
-        for c, r, v in out:
-            for rr, vv in mine[r].items():
-                acc[(rr, c)] = acc.get((rr, c), 0) + v * vv
-        entries = []
-        for (rr, c), v in acc.items():
-            v = v % field.p if not field.is_rational else v
-            if v != 0:
-                entries.append((rr, c, v))
-        return SparseMatrix(self.rows, other.cols, tuple(entries))
-
-
-def _clear_denominators(col):
-    """The column scaled to coprime integers (entries int or Fraction)."""
-    fracs = {r: Fraction(v) for r, v in col.items() if v}
-    m = lcm(*(v.denominator for v in fracs.values()))
-    ints = {r: int(v * m) for r, v in fracs.items()}
-    g = gcd(*ints.values()) or 1
-    return {r: v // g for r, v in ints.items()}
-
-
 def _reduce(columns, p: int) -> dict:
     """Column reduction on lowest rows: each column, in order, is reduced
     against the stored pivot columns until its lowest nonzero row is new,
@@ -172,26 +115,6 @@ def _reduce(columns, p: int) -> dict:
     return pivots
 
 
-def _residue(v, p: int) -> int:
-    """v (int or Fraction a/b) mod p, as a * b^-1 when p does not divide b."""
-    v = Fraction(v)
-    if v.denominator % p == 0:
-        raise ValueError(f"entry {v} has no value mod {p}")
-    return v.numerator * pow(v.denominator, -1, p) % p
-
-
-def field_rank(M: SparseMatrix, F: FieldSpec) -> int:
-    """Exact rank of M over F.  Over GF(p) a Fraction entry a/b is read as
-    a * b^-1 mod p; one whose denominator p divides raises ValueError."""
-    if F.is_rational:
-        columns = (_clear_denominators(col) for col in M.column_dicts())
-    else:
-        columns = (
-            {r: x for r, v in col.items() if (x := _residue(v, F.p))} for col in M.column_dicts()
-        )
-    return len(_reduce(columns, F.p))
-
-
 def _boundary_columns(faces, index: dict, p: int):
     """Signed boundary of each face as {row: sign}, signs (-1)^i for deleting
     the i-th vertex (reduced mod p when p > 0); rows are `index` positions,
@@ -226,34 +149,6 @@ def _betti(bases: dict, p: int) -> BettiVector:
         cleared = set(_reduce(_boundary_columns(kept, index, p), p))
         ranks[k] = len(cleared)
     return BettiVector({k: len(bases[k]) - ranks[k] - ranks[k + 1] for k in range(-1, top + 1)})
-
-
-@dataclass(frozen=True)
-class ChainComplexMatrices:
-    """Augmented boundary operators of a complex over a fixed field.
-
-    face_counts[k] for k = -1..n (the -1 count is 1: the augmentation);
-    boundaries[k] maps k-chains to (k-1)-chains for k = 0..n, with
-    boundaries[0] the all-ones augmentation row.
-    """
-
-    field: FieldSpec
-    face_counts: dict
-    boundaries: dict
-
-
-def boundary_matrices(K: SimplicialComplex, F: FieldSpec) -> ChainComplexMatrices:
-    """Standard simplicial boundary operators with signs (-1)^i over the
-    frozen vertex order; columns indexed by sorted k-faces."""
-    counts = {k: K.face_count(k) for k in range(-1, K.dim + 1)}
-    boundaries = {}
-    for k in range(0, K.dim + 1):
-        lower = K._faces(k - 1)
-        index = {f: i for i, f in enumerate(lower)}
-        columns = _boundary_columns(K._faces(k), index, F.p)
-        entries = tuple((r, j, v) for j, col in enumerate(columns) for r, v in col.items())
-        boundaries[k] = SparseMatrix(len(lower), counts[k], entries)
-    return ChainComplexMatrices(F, counts, boundaries)
 
 
 class BettiVector:

@@ -2,8 +2,9 @@
 
 Deliberately shares no code with the package: its own maximal-face
 selection, barycentric subdivision and face enumeration from facet
-lists, dense boundary matrices, and a plain row-reduction rank
-(Fractions over the rationals, modular integers over GF(p)).
+lists, dense boundary matrices, a plain row-reduction rank (Fractions
+over the rationals, modular integers over GF(p)) and a sparse column
+product.
 """
 
 from fractions import Fraction
@@ -85,6 +86,21 @@ def dense_rank(matrix, p=None):
         if pivot_row == n_rows:
             break
     return rank
+
+
+def column_product(left, right, p=None):
+    """Columns of the product left * right, each matrix a list of sparse
+    columns {row: value}; entries mod p unless p is None, zeros dropped."""
+    product = []
+    for col in right:
+        acc = {}
+        for k, v in col.items():
+            for r, w in left[k].items():
+                acc[r] = acc.get(r, 0) + v * w
+        if p is not None:
+            acc = {r: x % p for r, x in acc.items()}
+        product.append({r: x for r, x in acc.items() if x})
+    return product
 
 
 def dense_boundary(lower, upper):

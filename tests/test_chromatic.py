@@ -10,11 +10,11 @@ from rainbowcheck import (
     QQ,
     ArityError,
     Coloring,
+    SimplicialComplex,
     alexander_duality_audit,
     check_meshulam,
     check_theorem,
     chromatic_subcomplex,
-    from_facets,
     rainbow_simplices,
     reduced_betti,
     validate_coloring,
@@ -26,7 +26,7 @@ TETRA_BOUNDARY = [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", 
 
 @pytest.fixture
 def sphere2():
-    return from_facets(TETRA_BOUNDARY)
+    return SimplicialComplex(TETRA_BOUNDARY)
 
 
 @pytest.fixture
@@ -125,7 +125,7 @@ def test_check_theorem_surface(sphere2, coloring_abc):
 
 def test_check_theorem_surface_with_boundary():
     # disk made of two triangles; boundary is the 4-cycle a-b-d-c
-    disk = from_facets([["a", "b", "c"], ["b", "c", "d"]])
+    disk = SimplicialComplex([["a", "b", "c"], ["b", "c", "d"]])
     coloring = Coloring([["a"], ["b", "d"], ["c"]])
     report = check_theorem(disk, coloring, "surface", [QQ])
     assert report.consistent
@@ -177,7 +177,7 @@ def test_check_theorem_n_on_spheres():
 
 
 def test_check_theorem_n_requires_closed():
-    disk = from_facets([["a", "b", "c"]])
+    disk = SimplicialComplex([["a", "b", "c"]])
     with pytest.raises(ArityError):
         check_theorem(disk, Coloring([["a"], ["b"], ["c"]]), "n", [QQ])
 

@@ -215,6 +215,24 @@ def test_unknown_file_is_error():
     assert run_cli("info", "/nonexistent/file.json").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["info", "{dir}"],
+        ["gen", "torus7", "--out", "{dir}"],
+        ["check", "{tetra}", "--theorem", "meshulam", "--field", "2", "--json", "{dir}"],
+    ],
+    ids=["info", "gen-out", "check-json"],
+)
+def test_os_error_is_input_error(args, tetra, tmp_path):
+    # a directory where a file is read or written raises an OSError other
+    # than FileNotFoundError; it exits 2, not 1 ("a hypothesis fails")
+    result = run_cli(*(a.format(dir=tmp_path, tetra=tetra) for a in args))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
 def test_bad_field_is_error(tetra):
     result = run_cli("betti", tetra, "--field", "x")
     assert result.returncode == 2

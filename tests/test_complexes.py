@@ -9,7 +9,6 @@ from rainbowcheck import (
     boundary_complex,
     connected_components,
     euler_characteristic,
-    from_facets,
     induced_subcomplex,
     pseudomanifold_report,
     vertex_link,
@@ -22,26 +21,26 @@ TETRA_BOUNDARY = [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", 
 
 
 def test_from_facets_boundary_of_tetrahedron():
-    K = from_facets(TETRA_BOUNDARY)
+    K = SimplicialComplex(TETRA_BOUNDARY)
     assert K.dim == 2
     assert len(K.facets) == 4
     assert K.vertices == ("a", "b", "c", "d")
 
 
 def test_from_facets_absorbs_contained_faces():
-    K = from_facets([["a", "b"], ["a", "b", "c"]])
+    K = SimplicialComplex([["a", "b"], ["a", "b", "c"]])
     assert K.facets == frozenset({("a", "b", "c")})
 
 
 def test_from_facets_single_vertex():
-    K = from_facets([["a"]])
+    K = SimplicialComplex([["a"]])
     assert K.dim == 0
     assert K.faces(0) == [("a",)]
 
 
 def test_from_facets_rejects_duplicate_vertex():
     with pytest.raises(ValueError):
-        from_facets([["a", "a", "b"]])
+        SimplicialComplex([["a", "a", "b"]])
 
 
 @pytest.mark.parametrize("facets", [[[1, "a"]], [[1], ["a"]]])
@@ -51,14 +50,14 @@ def test_mixed_type_labels_are_rejected(facets):
 
 
 def test_empty_complex_is_legal_but_distinct():
-    K = from_facets([])
+    K = SimplicialComplex([])
     assert K.is_empty
     assert K.dim == -1
     assert K.faces(-1) == [()]
 
 
 def test_faces_counts_on_tetra_boundary():
-    K = from_facets(TETRA_BOUNDARY)
+    K = SimplicialComplex(TETRA_BOUNDARY)
     assert len(K.faces(1)) == 6
     assert len(K.faces(2)) == 4
     assert K.faces(-1) == [()]
@@ -67,13 +66,13 @@ def test_faces_counts_on_tetra_boundary():
 
 
 def test_faces_deterministic_lexicographic():
-    K = from_facets(TETRA_BOUNDARY)
+    K = SimplicialComplex(TETRA_BOUNDARY)
     assert K.faces(1) == sorted(K.faces(1))
     assert K.faces(1)[0] == ("a", "b")
 
 
 def test_induced_subcomplex_examples():
-    K = from_facets(TETRA_BOUNDARY)
+    K = SimplicialComplex(TETRA_BOUNDARY)
     assert induced_subcomplex(K, {"c", "d"}).facets == frozenset({("c", "d")})
     tri = induced_subcomplex(K, {"a", "b", "c"})
     assert tri.facets == frozenset({("a", "b", "c")})
@@ -83,18 +82,18 @@ def test_induced_subcomplex_examples():
 
 
 def test_induced_full_vertex_set_is_identity():
-    K = from_facets(TETRA_BOUNDARY)
+    K = SimplicialComplex(TETRA_BOUNDARY)
     assert induced_subcomplex(K, K.vertices) == K
 
 
 def test_boundary_complex_examples():
-    triangle = from_facets([["a", "b", "c"]])
+    triangle = SimplicialComplex([["a", "b", "c"]])
     assert boundary_complex(triangle).facets == frozenset(
         {("a", "b"), ("a", "c"), ("b", "c")}
     )
-    assert boundary_complex(from_facets(TETRA_BOUNDARY)).is_empty
+    assert boundary_complex(SimplicialComplex(TETRA_BOUNDARY)).is_empty
     # two triangles glued along an edge: boundary is the 4-edge cycle
-    glued = from_facets([["a", "b", "c"], ["b", "c", "d"]])
+    glued = SimplicialComplex([["a", "b", "c"], ["b", "c", "d"]])
     assert boundary_complex(glued).facets == frozenset(
         {("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")}
     )
@@ -102,14 +101,14 @@ def test_boundary_complex_examples():
 
 def test_boundary_complex_requires_pure():
     with pytest.raises(ValueError):
-        boundary_complex(from_facets([["a", "b", "c"], ["d", "e"]]))
+        boundary_complex(SimplicialComplex([["a", "b", "c"], ["d", "e"]]))
 
 
 def test_euler_characteristic():
-    assert euler_characteristic(from_facets(TETRA_BOUNDARY)) == 2
+    assert euler_characteristic(SimplicialComplex(TETRA_BOUNDARY)) == 2
     assert euler_characteristic(generate("torus7").complex) == 0
-    assert euler_characteristic(from_facets([["a"]])) == 1
-    assert euler_characteristic(from_facets([])) == 0
+    assert euler_characteristic(SimplicialComplex([["a"]])) == 1
+    assert euler_characteristic(SimplicialComplex([])) == 0
 
 
 def test_euler_characteristic_of_simplex_boundaries():
@@ -119,19 +118,19 @@ def test_euler_characteristic_of_simplex_boundaries():
 
 
 def test_connected_components():
-    assert len(connected_components(from_facets([["a", "b"], ["c", "d"]]))) == 2
-    assert len(connected_components(from_facets(TETRA_BOUNDARY))) == 1
-    assert connected_components(from_facets([])) == []
+    assert len(connected_components(SimplicialComplex([["a", "b"], ["c", "d"]]))) == 2
+    assert len(connected_components(SimplicialComplex(TETRA_BOUNDARY))) == 1
+    assert connected_components(SimplicialComplex([])) == []
 
 
 def test_pseudomanifold_report_sphere():
-    report = pseudomanifold_report(from_facets(TETRA_BOUNDARY))
+    report = pseudomanifold_report(SimplicialComplex(TETRA_BOUNDARY))
     assert report.is_pure and report.is_closed and report.ridge_degrees_ok
     assert report.link_betti_ok and report.strongly_connected
 
 
 def test_pseudomanifold_report_disk():
-    report = pseudomanifold_report(from_facets([["a", "b", "c"]]))
+    report = pseudomanifold_report(SimplicialComplex([["a", "b", "c"]]))
     assert report.is_pure and report.ridge_degrees_ok
     assert not report.is_closed
 
@@ -139,7 +138,7 @@ def test_pseudomanifold_report_disk():
 def test_pseudomanifold_report_wedge_of_triangles():
     # two triangles sharing only a vertex: the shared-vertex link is two
     # disjoint edges, neither a circle nor an arc
-    wedge = from_facets([["a", "b", "c"], ["a", "d", "e"]])
+    wedge = SimplicialComplex([["a", "b", "c"], ["a", "d", "e"]])
     lk = vertex_link(wedge, "a")
     assert lk.facets == frozenset({("b", "c"), ("d", "e")})
     assert not pseudomanifold_report(wedge).link_betti_ok
@@ -161,7 +160,7 @@ small_facets = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(small_facets)
 def test_downward_closure(facet_lists):
-    K = from_facets(facet_lists)
+    K = SimplicialComplex(facet_lists)
     for k in range(1, K.dim + 1):
         lower = set(K.faces(k - 1))
         for f in K.faces(k):
@@ -172,7 +171,7 @@ def test_downward_closure(facet_lists):
 @settings(max_examples=60, deadline=None)
 @given(small_facets, st.sets(st.integers(0, 7)), st.sets(st.integers(0, 7)))
 def test_induced_subcomplex_monotone(facet_lists, w1, w2):
-    K = from_facets(facet_lists)
+    K = SimplicialComplex(facet_lists)
     vs = set(K.vertices)
     w1 = w1 & vs
     w2 = (w1 | w2) & vs
@@ -185,7 +184,7 @@ def test_induced_subcomplex_monotone(facet_lists, w1, w2):
 @settings(max_examples=100, deadline=None)
 @given(small_facets, st.lists(st.integers(0, 8), max_size=5))
 def test_has_face_matches_oracle_faces(facet_lists, simplex):
-    K = from_facets(facet_lists)
+    K = SimplicialComplex(facet_lists)
     faces = {f for by_dim in enumerate_faces(facet_lists).values() for f in by_dim}
     assert K.has_face(simplex) == (not simplex or tuple(sorted(set(simplex))) in faces)
     assert not K.has_face(["a"])

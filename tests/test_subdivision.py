@@ -10,7 +10,6 @@ from rainbowcheck import (
     SimplicialComplex,
     barycentric_subdivision,
     derived_neighborhood,
-    from_facets,
     induced_subcomplex,
     reduced_betti,
     supplement_complex,
@@ -24,7 +23,7 @@ TETRA_BOUNDARY = [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", 
 
 
 def test_sd_of_edge_is_path():
-    sdm = barycentric_subdivision(from_facets([["a", "b"]]))
+    sdm = barycentric_subdivision(SimplicialComplex([["a", "b"]]))
     K = sdm.complex
     assert len(K.vertices) == 3
     assert K.face_count(1) == 2
@@ -33,7 +32,7 @@ def test_sd_of_edge_is_path():
 
 
 def test_sd_of_sphere_counts():
-    K = barycentric_subdivision(from_facets(TETRA_BOUNDARY)).complex
+    K = barycentric_subdivision(SimplicialComplex(TETRA_BOUNDARY)).complex
     assert len(K.vertices) == 14
     assert K.face_count(1) == 36
     assert K.face_count(2) == 24
@@ -41,7 +40,7 @@ def test_sd_of_sphere_counts():
 
 def test_sd_rejects_empty():
     with pytest.raises(ValueError):
-        barycentric_subdivision(from_facets([]))
+        barycentric_subdivision(SimplicialComplex([]))
 
 
 def test_sd_vertices_biject_with_faces():
@@ -70,31 +69,31 @@ def test_subdivision_betti_invariance(name, field):
 
 
 def test_derived_neighborhood_half_edge():
-    K = from_facets([["a", "b"]])
+    K = SimplicialComplex([["a", "b"]])
     N = derived_neighborhood({"a"}, K)
     assert N.facets == frozenset({("a", "a|b")})
     assert reduced_betti(N, QQ).is_zero()
 
 
 def test_derived_neighborhood_of_edge_in_sphere():
-    K = from_facets(TETRA_BOUNDARY)
+    K = SimplicialComplex(TETRA_BOUNDARY)
     N = derived_neighborhood({"c", "d"}, K)
     assert reduced_betti(N, QQ) == reduced_betti(induced_subcomplex(K, {"c", "d"}), QQ)
 
 
 def test_derived_neighborhood_of_everything_is_sd():
-    K = from_facets(TETRA_BOUNDARY)
+    K = SimplicialComplex(TETRA_BOUNDARY)
     assert derived_neighborhood(set(K.vertices), K) == barycentric_subdivision(K).complex
 
 
 def test_supplement_half_edge():
-    K = from_facets([["a", "b"]])
+    K = SimplicialComplex([["a", "b"]])
     S = supplement_complex({"b"}, K)
     assert S.facets == frozenset({("a", "a|b")})
 
 
 def test_supplement_examples_on_sphere():
-    K = from_facets(TETRA_BOUNDARY)
+    K = SimplicialComplex(TETRA_BOUNDARY)
     S = supplement_complex({"c", "d"}, K)
     assert reduced_betti(S, QQ) == reduced_betti(induced_subcomplex(K, {"a", "b"}), QQ)
     S2 = supplement_complex({"a"}, K)
@@ -116,9 +115,9 @@ def test_neighborhood_and_supplement_cover_sd_vertices():
 def test_subdivision_cache_is_bounded_and_still_hits():
     bound = subdivision._SUBDIVISION_CACHE_SIZE
     for i in range(bound + 5):
-        barycentric_subdivision(from_facets([[i, i + 1]]))
+        barycentric_subdivision(SimplicialComplex([[i, i + 1]]))
     assert barycentric_subdivision.cache_info().currsize <= bound
-    K = from_facets([["a", "b", "c"]])
+    K = SimplicialComplex([["a", "b", "c"]])
     first = barycentric_subdivision(K)
     assert barycentric_subdivision(K) is first
 
@@ -155,5 +154,5 @@ def test_subdivision_matches_oracle_and_public_constructor(facets):
 )
 def test_sd_refuses_barycenter_label_collision(facets):
     with pytest.raises(ValueError, match=r"vertex 'a\|b' and the barycenter of \('a', 'b'\)"):
-        barycentric_subdivision(from_facets(facets))
+        barycentric_subdivision(SimplicialComplex(facets))
 
