@@ -10,7 +10,8 @@ holds over at least one requested field.
 Every checker is one entry of a hypothesis table (`_THEOREMS`): an arity
 rule and an ordered list of rows, each a verdict kind over color subsets
 and fields.  One sweep (`_Sweep.verdicts`) evaluates the rows of any
-checker, and of the Alexander-duality audit, building each K_S once.
+checker, and of the Alexander-duality audit, with one check's memo of
+each K_S and its Betti vectors; nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .complexes import (
     induced_subcomplex,
     pseudomanifold_report,
 )
-from .homology import BettiVector, FieldSpec, is_acyclic, reduced_betti, relative_betti, sphere_betti
+from .homology import BettiVector, FieldSpec, reduced_betti, relative_betti, sphere_betti
 
 PASS = "pass"
 FAIL = "fail"
@@ -149,6 +150,12 @@ class CheckReport:
             "consistent": self.consistent,
         }
 
+    def over(self, F: FieldSpec) -> CheckReport:
+        """The report restricted to one field: the field-independent
+        verdicts and those over F, assembled as a check over F alone."""
+        verdicts = [v for v in self.verdicts if v.detail.get("field", str(F)) == str(F)]
+        return _assemble(self.theorem_id, verdicts, self.rainbow_witnesses, [F])
+
 
 def _jsonable(obj):
     if isinstance(obj, dict):
@@ -189,23 +196,37 @@ def _subsets(m: int, sizes):
 
 
 class _Sweep:
-    """One check's complexes: K, its coloring, and each K_S and (dK)_S
-    (dK the boundary complex) built once, however many rows read them."""
+    """One check's complexes: K, its coloring, each K_S and (dK)_S (dK the
+    boundary complex) and their Betti vectors per field, each computed
+    once however many rows read it.  S=None stands for K (or dK) itself."""
 
     def __init__(self, K: SimplicialComplex, C: Coloring):
         self.K, self.C = K, C
         self._built = {}
+        self._betti = {}
 
     @cached_property
     def boundary(self) -> SimplicialComplex:
         return boundary_complex(self.K)
 
+    @cached_property
+    def manifold(self):
+        return pseudomanifold_report(self.K)
+
     def sub(self, S, boundary=False) -> SimplicialComplex:
+        L = self.boundary if boundary else self.K
+        if S is None:
+            return L
         key = (S, boundary)
         if key not in self._built:
-            L = self.boundary if boundary else self.K
             self._built[key] = chromatic_subcomplex(L, self.C, S)
         return self._built[key]
+
+    def betti(self, S, F: FieldSpec, boundary=False) -> BettiVector:
+        key = (S, boundary, F)
+        if key not in self._betti:
+            self._betti[key] = reduced_betti(self.sub(S, boundary), F)
+        return self._betti[key]
 
     def verdicts(self, rows, fields):
         """The rows' verdicts, row by row: over each row's color subsets S
@@ -214,7 +235,7 @@ class _Sweep:
         out = []
         for row in rows:
             for S in row.subsets(self.K.dim, self.C.num_classes) if row.subsets else [None]:
-                KS = self.K if S is None else self.sub(S)
+                KS = self.sub(S)
                 for F in fields if row.per_field else [None]:
                     holds, detail = row.test(self, S, KS, F)
                     vid = row.id.format(*(S or ()), S=list(S or ()))
@@ -254,7 +275,7 @@ def _below_top(n, m):
 
 def _vanishing(shift, sweep, S, KS, F):
     # b~_{|S|+shift}(K_S) = 0; degree -1 also requires degree 0 (connected).
-    betti = reduced_betti(KS, F)
+    betti = sweep.betti(S, F)
     d = len(S) + shift
     val = betti[d] if d >= 0 else betti[-1] + betti[0]
     return val == 0, {"S": list(S), "degree": max(d, 0), "field": str(F), "betti": val}
@@ -266,29 +287,28 @@ def _relative_h1(sweep, S, KS, F):
 
 
 def _class_acyclic(with_boundary, sweep, S, KS, F):
-    interior_ok = is_acyclic(KS, F)
-    part = sweep.sub(S, boundary=True) if with_boundary else SimplicialComplex()
-    bd_ok = part.is_empty or is_acyclic(part, F)
+    interior_ok = not KS.is_empty and sweep.betti(S, F).is_zero()
+    bd_ok = not with_boundary or sweep.sub(S, True).is_empty or sweep.betti(S, F, True).is_zero()
     detail = {"i": S[0], "field": str(F), "class_acyclic": interior_ok, "boundary_part_ok": bd_ok}
     return interior_ok and bd_ok, detail
 
 
 def _ambient_vanishing(sweep, S, K, F):
-    betti = reduced_betti(K, F)
+    betti = sweep.betti(None, F)
     degrees = list(range(2, K.dim))
     bad = {k: betti[k] for k in degrees if betti[k] != 0}
     return not bad, {"field": str(F), "degrees": degrees, "nonzero": bad}
 
 
 def _homology_sphere(sweep, S, K, F):
-    betti = reduced_betti(K, F)
+    betti = sweep.betti(None, F)
     return betti == sphere_betti(K.dim), {"field": str(F), "betti": betti}
 
 
 def _spine(sweep, S, KS, F):
     # A complex retracting to an i-dimensional spine has no homology above
     # degree i; here i = |S| - 1 (a handlebody neighborhood for |S| = 2).
-    betti = reduced_betti(KS, F)
+    betti = sweep.betti(S, F)
     bad = {k: betti[k] for k in range(len(S), sweep.K.dim + 1) if betti[k] != 0}
     return not bad, {"S": list(S), "field": str(F), "nonzero": bad}
 
@@ -305,7 +325,7 @@ def _classes_nonempty(sweep, S, K, F):
 
 
 def _pseudomanifold(sweep, S, K, F):
-    return True, {"pseudomanifold": pseudomanifold_report(K)}
+    return True, {"pseudomanifold": sweep.manifold}
 
 
 def _manifold(label):
@@ -315,8 +335,8 @@ def _manifold(label):
 def _duality(sweep, S, KS, F):
     n = sweep.K.dim
     lhs_degree, rhs_degree = len(S) - 2, n + 1 - len(S)
-    lhs = reduced_betti(KS, F)[lhs_degree]
-    rhs = reduced_betti(sweep.sub(tuple(i for i in range(n + 1) if i not in S)), F)[rhs_degree]
+    lhs = sweep.betti(S, F)[lhs_degree]
+    rhs = sweep.betti(tuple(i for i in range(n + 1) if i not in S), F)[rhs_degree]
     equal = lhs == rhs
     entry = {"S": list(S), "lhs_degree": lhs_degree, "lhs": lhs}
     return equal, {**entry, "rhs_degree": rhs_degree, "rhs": rhs, "equal": equal}
@@ -397,11 +417,12 @@ def check_theorem(K: SimplicialComplex, C: Coloring, theorem_id: str, fields) ->
         d = theorem.dim
         need = "dim+1 classes" if d is None else f"dim {d} and {d + 1} classes"
         raise ArityError(f"{theorem_id} checker needs {need}, got dim {n}, {m} classes")
-    if theorem.closed and not pseudomanifold_report(K).is_closed:
+    sweep = _Sweep(K, C)
+    if theorem.closed and not sweep.manifold.is_closed:
         raise ArityError(
             f"{theorem_id} checker requires a closed complex (every ridge in 2 facets)"
         )
-    verdicts = _Sweep(K, C).verdicts(theorem.rows, fields)
+    verdicts = sweep.verdicts(theorem.rows, fields)
     return _assemble(theorem_id, verdicts, rainbow_simplices(K, C), fields)
 
 
@@ -423,12 +444,13 @@ def alexander_duality_audit(K: SimplicialComplex, C: Coloring, F: FieldSpec) -> 
     """For a homology n-sphere K with n+1 color classes, compare
     b~_{|S|-2}(K_S) with b~_{n+1-|S|}(K_{S complement}) for 1 <= |S| <= n."""
     n = K.dim
-    if reduced_betti(K, F) != sphere_betti(n):
+    sweep = _Sweep(K, C)
+    if sweep.betti(None, F) != sphere_betti(n):
         raise ValueError(f"K is not a homology {n}-sphere over {F}")
     if C.num_classes != n + 1:
         raise ValueError(f"need {n + 1} classes, got {C.num_classes}")
     errors = coloring_errors(K, C)
     if errors:
         raise ValueError("; ".join(errors))
-    verdicts = _Sweep(K, C).verdicts([_DUALITY], [F])
+    verdicts = sweep.verdicts([_DUALITY], [F])
     return DualityAudit(F, tuple(v.detail for v in verdicts), all(v.ok for v in verdicts))

@@ -42,8 +42,9 @@ from .subdivision import barycentric_subdivision
 
 REPORT_SCHEMA_VERSION = 1
 
-# `sd` refuses, before subdividing, an output of more facets than this.
-MAX_SD_FACETS = 250_000
+# Input files of more facets than this are refused before the complex is
+# built, and so are `sd` outputs before subdividing: each can be read back.
+MAX_FACETS = 250_000
 
 
 class InputError(Exception):
@@ -83,6 +84,8 @@ def parse_instance(path):
     facets = data["facets"]
     if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
         raise InputError(f"{path}: 'facets' must be a list of lists of labels")
+    if len(facets) > MAX_FACETS:
+        raise InputError(f"{path}: {len(facets)} facets, more than the limit of {MAX_FACETS}")
     for f in facets:
         if len(set(map(str, f))) != len(f):
             raise InputError(f"{path}: duplicate vertex inside facet {f!r}")
@@ -181,9 +184,9 @@ def _cmd_sd(args):
     # Each subdivision turns a facet of k vertices into k! facets of k
     # vertices.  A factor of 2 or more to a power above the limit's bit
     # length is over the limit, so the power is capped there.
-    power = min(args.times, MAX_SD_FACETS.bit_length())
-    if sum(math.factorial(len(f)) ** power for f in K.facets) > MAX_SD_FACETS:
-        raise InputError(f"sd --times {args.times} would make more than {MAX_SD_FACETS} facets")
+    power = min(args.times, MAX_FACETS.bit_length())
+    if sum(math.factorial(len(f)) ** power for f in K.facets) > MAX_FACETS:
+        raise InputError(f"sd --times {args.times} would make more than {MAX_FACETS} facets")
     for _ in range(args.times):
         if K.is_empty:
             raise InputError("cannot subdivide the empty complex")
@@ -219,19 +222,20 @@ def _cmd_check(args):
     K, coloring = parse_instance(args.path)
     coloring = _need_coloring(coloring, args.path)
     fields = [parse_field(f) for f in args.field] or [QQ]
-    # Meshulam is reported field by field, the other theorems in one report.
+    # One sweep; Meshulam's, over each distinct field once, is split per field.
     per_field = args.theorem == "meshulam"
-    groups = [[F] for F in fields] if per_field else [fields]
+    swept = dict.fromkeys(fields) if per_field else fields
     start = time.monotonic()
     try:
-        reports = [check_theorem(K, coloring, args.theorem, group) for group in groups]
+        report = check_theorem(K, coloring, args.theorem, swept)
     except ValueError as exc:
         raise InputError(str(exc))
     elapsed = time.monotonic() - start
-    overall = any(r.all_hold for r in reports)
-    for group, report in zip(groups, reports):
-        print(f"theorem {args.theorem}" + (f" over {group[0]}" if per_field else ""))
-        _print_report(report)
+    overall = report.all_hold
+    reports = [report.over(F) for F in fields] if per_field else [report]
+    for F, r in zip(fields, reports):
+        print(f"theorem {args.theorem}" + (f" over {F}" if per_field else ""))
+        _print_report(r)
     if args.json:
         _write_json(_report_json(args.theorem, fields, reports, overall, elapsed), args.json)
     print(f"overall: {'HOLD' if overall else 'NOT ESTABLISHED'}")

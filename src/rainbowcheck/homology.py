@@ -8,8 +8,6 @@ integers with gcd reduction over the rationals. No floating point anywhere.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -190,28 +188,10 @@ def sphere_betti(n: int) -> BettiVector:
     return BettiVector({n: 1})
 
 
-# Most recently used Betti vectors, keyed on (K.facets, F) so that no face
-# table is kept alive; bounded so that long-lived use does not grow memory.
-_BETTI_CACHE_SIZE = 256
-_betti_cache = OrderedDict()
-_betti_cache_lock = threading.Lock()
-
-
 def reduced_betti(K: SimplicialComplex, F: FieldSpec) -> BettiVector:
     """Reduced Betti numbers of K over F; degree -1 is 1 exactly for the
     empty complex."""
-    key = (K.facets, F)
-    with _betti_cache_lock:
-        hit = _betti_cache.get(key)
-        if hit is not None:
-            _betti_cache.move_to_end(key)
-            return hit
-    result = _betti({k: K._faces(k) for k in range(-1, K.dim + 1)}, F.p)
-    with _betti_cache_lock:
-        _betti_cache[key] = result
-        if len(_betti_cache) > _BETTI_CACHE_SIZE:
-            _betti_cache.popitem(last=False)
-    return result
+    return _betti({k: K._faces(k) for k in range(-1, K.dim + 1)}, F.p)
 
 
 def relative_betti(K: SimplicialComplex, L: SimplicialComplex, F: FieldSpec) -> BettiVector:

@@ -30,11 +30,6 @@ class SubdivisionMap:
     carrier: dict  # barycenter label -> Simplex of the original complex
 
 
-# Bounded so that long-lived use does not grow memory: a subdivision is
-# larger than its complex, and the cache keeps both alive.
-_SUBDIVISION_CACHE_SIZE = 16
-
-
 @lru_cache(maxsize=8)
 def _maximal_chains(n: int) -> tuple:
     """The n! maximal chains of nonempty subsets of an n-element set, as
@@ -52,7 +47,6 @@ def _describe(face) -> str:
     return f"vertex {face[0]!r}" if len(face) == 1 else f"the barycenter of {face!r}"
 
 
-@lru_cache(maxsize=_SUBDIVISION_CACHE_SIZE)
 def barycentric_subdivision(K: SimplicialComplex) -> SubdivisionMap:
     """Order complex of the face poset of K: vertices are barycenters of
     nonempty faces, facets are the maximal chains.

@@ -12,6 +12,7 @@ from rainbowcheck import (
     Coloring,
     SimplicialComplex,
     alexander_duality_audit,
+    barycentric_subdivision,
     check_meshulam,
     check_theorem,
     chromatic_subcomplex,
@@ -19,6 +20,7 @@ from rainbowcheck import (
     reduced_betti,
     validate_coloring,
 )
+from rainbowcheck import chromatic
 from rainbowcheck.generators import generate, random_coloring
 
 TETRA_BOUNDARY = [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", "d"]]
@@ -214,6 +216,39 @@ def test_alexander_duality_audit_sphere3_gf2():
     assert audit.passed
 
 
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records the arguments of each call."""
+    calls, fn = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_duality_audit_ranks_each_complex_once_per_field(monkeypatch):
+    # sd of the 3-sphere, 4 classes: K itself, then 14 subsets S each read
+    # as S and as a complement, 29 Betti vectors of 15 distinct complexes.
+    K = barycentric_subdivision(generate("simplex_boundary(3)").complex).complex
+    coloring = random_coloring(K, 4, seed=5)
+    lookups = count_calls(monkeypatch, chromatic._Sweep, "betti")
+    ranks = count_calls(monkeypatch, chromatic, "reduced_betti")
+    for F in (GF2, QQ):
+        assert alexander_duality_audit(K, coloring, F).passed
+    assert len(lookups) == 2 * 29
+    assert len(ranks) == 2 * 15
+
+
+def test_n_checker_computes_the_pseudomanifold_report_once(monkeypatch):
+    K = generate("simplex_boundary(3)").complex
+    reports = count_calls(monkeypatch, chromatic, "pseudomanifold_report")
+    report = check_theorem(K, random_coloring(K, 4, seed=1), "n", [GF2, QQ])
+    assert len(reports) == 1
+    assert report.verdicts[0].id == "n_manifold"
+
+
 def test_alexander_duality_audit_rejects_non_sphere():
     K = generate("torus7").complex
     coloring = random_coloring(K, 3, 1)
@@ -250,3 +285,4 @@ def test_meshulam_over_several_fields_holds_iff_some_field_does(name, seed, righ
     for F, report in zip(fields, per_field):
         scoped = [v for v in merged.verdicts if v.detail.get("field", str(F)) == str(F)]
         assert scoped == list(report.verdicts)
+        assert merged.over(F).as_dict() == report.as_dict()

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from rainbowcheck import chromatic, cli
+
 RUN = [sys.executable, "-m", "rainbowcheck"]
 
 TETRA_INSTANCE = {
@@ -111,6 +113,42 @@ def test_sd_over_the_facet_limit_is_input_error(tetra, tmp_path):
     assert result.returncode == 2
     assert "error: sd --times 50 would make more than 250000 facets" in result.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("suffix", [".json", ".txt"])
+def test_input_over_the_facet_limit_is_input_error(tmp_path, monkeypatch, capsys, suffix):
+    facets = TETRA_INSTANCE["facets"]
+    path = tmp_path / f"tetra{suffix}"
+    if suffix == ".json":
+        path.write_text(json.dumps({"facets": facets}))
+    else:
+        path.write_text("".join(" ".join(f) + "\n" for f in facets))
+    monkeypatch.setattr(cli, "MAX_FACETS", 4)
+    assert cli.main(["info", str(path)]) == 0
+    monkeypatch.setattr(cli, "MAX_FACETS", 3)
+    monkeypatch.setattr(cli, "SimplicialComplex", None)  # refused before it is built
+    assert cli.main(["info", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: 4 facets, more than the limit of 3\n"
+
+
+def test_every_sd_output_can_be_read_back(tetra, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "sd.json"
+    monkeypatch.setattr(cli, "MAX_FACETS", 23)
+    assert cli.main(["sd", tetra, "--out", str(out)]) == 2
+    assert not out.exists()
+    monkeypatch.setattr(cli, "MAX_FACETS", 24)
+    assert cli.main(["sd", tetra, "--out", str(out)]) == 0
+    assert cli.main(["info", str(out)]) == 0
+    assert "euler characteristic: 2" in capsys.readouterr().out
+
+
+def test_check_meshulam_builds_each_chromatic_subcomplex_once(tetra, monkeypatch, capsys):
+    calls, build = [], chromatic.chromatic_subcomplex
+    monkeypatch.setattr(chromatic, "chromatic_subcomplex", lambda *a: calls.append(a) or build(*a))
+    fields = [arg for F in ("2", "3", "5", "q") for arg in ("--field", F)]
+    assert cli.main(["check", tetra, "--theorem", "meshulam", *fields]) == 0
+    assert capsys.readouterr().out.count("theorem meshulam over ") == 4
+    assert len(calls) == 2**3 - 1
 
 
 @pytest.mark.parametrize(

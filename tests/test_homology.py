@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -193,16 +194,14 @@ def test_rank_equals_rank_of_transpose(field):
             assert rank == len(homology._reduce(rows.values(), field.p))
 
 
-def test_betti_cache_is_bounded_and_still_hits():
-    bound = homology._BETTI_CACHE_SIZE
-    edges = [SimplicialComplex([[i, i + 1]]) for i in range(bound + 10)]
-    first = reduced_betti(edges[0], GF2)
-    for K in edges:
-        reduced_betti(K, GF2)
-    assert len(homology._betti_cache) <= bound
-    assert reduced_betti(edges[0], GF2) is not first  # evicted, recomputed
-    last = reduced_betti(edges[-1], GF2)
-    assert reduced_betti(edges[-1], GF2) is last
+def test_reduced_betti_keeps_no_reference_to_the_complex():
+    # Nothing is cached across calls, so a complex lives no longer than its
+    # caller keeps it.  K's labels are its own, so no earlier call saw it.
+    K = SimplicialComplex([[f"betti-no-ref-{v}" for v in f] for f in TETRA_BOUNDARY])
+    before = sys.getrefcount(K), sys.getrefcount(K.facets)
+    for F in DEFAULT_FIELDS:
+        reduced_betti(K, F)
+    assert (sys.getrefcount(K), sys.getrefcount(K.facets)) == before
 
 
 # Random non-pure complexes on at most 8 vertices, as raw facet lists.

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from rainbowcheck import (
     reduced_betti,
     supplement_complex,
 )
-from rainbowcheck import subdivision
 from rainbowcheck.generators import generate
 
 from oracle import barycentric_facets, enumerate_faces
@@ -112,14 +112,13 @@ def test_neighborhood_and_supplement_cover_sd_vertices():
         assert covered == sd_vertices
 
 
-def test_subdivision_cache_is_bounded_and_still_hits():
-    bound = subdivision._SUBDIVISION_CACHE_SIZE
-    for i in range(bound + 5):
-        barycentric_subdivision(SimplicialComplex([[i, i + 1]]))
-    assert barycentric_subdivision.cache_info().currsize <= bound
-    K = SimplicialComplex([["a", "b", "c"]])
-    first = barycentric_subdivision(K)
-    assert barycentric_subdivision(K) is first
+def test_subdivision_keeps_no_reference_to_the_complex():
+    # K's labels are its own, so no earlier call saw it.
+    K = SimplicialComplex([[f"sd-no-ref-{v}" for v in f] for f in TETRA_BOUNDARY])
+    before = sys.getrefcount(K), sys.getrefcount(K.facets)
+    sdm = barycentric_subdivision(K)
+    assert len(sdm.complex.facets) == 24
+    assert (sys.getrefcount(K), sys.getrefcount(K.facets)) == before
 
 
 def _facet_lists(labels):
