@@ -24,6 +24,7 @@ from .chromatic import (
     Coloring,
     CheckReport,
     THEOREM_IDS,
+    _jsonable,
     alexander_duality_audit,
     check_theorem,
     coloring_errors,
@@ -103,7 +104,9 @@ def parse_instance(path):
         if errors:
             raise InputError(f"{path}: " + "; ".join(errors))
         for warning in validate_coloring(K, coloring):
-            print(warning, file=sys.stderr)
+            import logging  # here, not at the top: it adds ≈10 ms to every start-up
+
+            logging.getLogger("rainbowcheck").warning(warning)
     return K, coloring
 
 
@@ -209,7 +212,7 @@ def _report_json(theorem, fields, reports, overall, elapsed):
 def _print_report(report: CheckReport):
     for v in report.verdicts:
         if v.status in ("fail", "proxy-fail"):
-            print(f"  {v.id}: {v.status}  {json.dumps(v.detail, sort_keys=True)}")
+            print(f"  {v.id}: {v.status}  {json.dumps(_jsonable(v.detail), sort_keys=True)}")
     print(f"  all_hold: {report.all_hold}  consistent: {report.consistent}")
     if report.rainbow_witnesses:
         names = ", ".join("".join(map(str, w)) for w in report.rainbow_witnesses)

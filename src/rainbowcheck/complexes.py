@@ -45,30 +45,32 @@ class SimplicialComplex:
 
     The input may be any iterable of vertex lists; faces contained in
     other input faces are absorbed, so `facets` is the set of maximal
-    inputs. A candidate can only be absorbed by a strictly larger
-    candidate, and that candidate passes through every vertex of it, so
-    each candidate is tested only against the larger candidates through
-    its rarest vertex (the one in the fewest candidates).
+    inputs. Candidates of the largest size are maximal untested, so a pure
+    input is not scanned at all. A smaller candidate can only be absorbed
+    by a strictly larger candidate, and that candidate passes through every
+    vertex of it, so it is tested only against the larger candidates
+    through its rarest vertex (the one in the fewest candidates).
     """
 
-    __slots__ = ("facets", "vertices", "dim", "_face_table", "_lock")
+    __slots__ = ("_facets", "vertices", "dim", "_face_table", "_lock")
 
     def __init__(self, facets=()):
         candidates = {_normalize_facet(f) for f in facets}
-        # Antichain normalization: index vertex -> candidates, longest first,
-        # so the scan of the rarest vertex's list stops at the first
-        # candidate that is not strictly longer.
-        as_sets = {}
+        top = max(map(len, candidates), default=0)
+        maximal = {f for f in candidates if len(f) == top}
+        smaller = candidates - maximal
+        # Index vertex -> candidates as sets, longest first, so the scan of the
+        # rarest vertex's list stops at the first candidate that is not
+        # strictly longer.  With no smaller candidate there is no index.
         by_vertex = {}
-        for f in sorted(candidates, key=len, reverse=True):
-            as_sets[f] = frozenset(f)
+        for f in sorted(candidates, key=len, reverse=True) if smaller else ():
+            fs = frozenset(f)
             for v in f:
-                by_vertex.setdefault(v, []).append(f)
-        maximal = set()
-        for f, fs in as_sets.items():
+                by_vertex.setdefault(v, []).append(fs)
+        for f in smaller:
             rarest = min(f, key=lambda v: len(by_vertex[v]))
             larger = itertools.takewhile(lambda g: len(g) > len(f), by_vertex[rarest])
-            if not any(fs <= as_sets[g] for g in larger):
+            if not any(map(frozenset(f).issubset, larger)):
                 maximal.add(f)
         self._set_facets(maximal, {v for f in maximal for v in f})
 
@@ -81,16 +83,40 @@ class SimplicialComplex:
         K._set_facets(facets, vertices)
         return K
 
+    @classmethod
+    def _from_faces(cls, table) -> SimplicialComplex:
+        """Trusted construction from a complete face table: table[k] is the
+        sorted, nonempty list of all k-faces for k = -1..dim (table[-1] == [()])."""
+        K = cls.__new__(cls)
+        K._facets = None
+        K.vertices = tuple(f[0] for f in table.get(0, ()))
+        K.dim = max(table)
+        K._face_table = table
+        K._lock = threading.Lock()
+        return K
+
     def _set_facets(self, facets, vertices):
-        self.facets = frozenset(facets)
+        self._facets = frozenset(facets)
         self.vertices = tuple(_sorted_labels(vertices))
-        self.dim = max((len(f) - 1 for f in self.facets), default=-1)
+        self.dim = max((len(f) - 1 for f in self._facets), default=-1)
         self._face_table = {-1: [()]}
         self._lock = threading.Lock()
 
     @property
+    def facets(self) -> frozenset:
+        """The maximal faces.  From a face table they are derived on first
+        read: a face is maximal when it lies on no face one degree up."""
+        if self._facets is None:  # unlocked: racing readers derive equal sets
+            table, n = self._face_table, self.dim
+            covered = {
+                r for k in range(1, n + 1) for g in table[k] for r in itertools.combinations(g, k)
+            }
+            self._facets = frozenset(f for k in range(n + 1) for f in table[k] if f not in covered)
+        return self._facets
+
+    @property
     def is_empty(self) -> bool:
-        return not self.facets
+        return self.dim < 0
 
     def __eq__(self, other):
         return isinstance(other, SimplicialComplex) and self.facets == other.facets
@@ -136,17 +162,19 @@ class SimplicialComplex:
 
 
 def induced_subcomplex(K: SimplicialComplex, W) -> SimplicialComplex:
-    """Full subcomplex on the vertex set W: all faces with vertices inside W."""
+    """Full subcomplex on the vertex set W: the faces of K inside W, filtered
+    from K's sorted face tables in order, up to the first degree with none."""
     W = frozenset(W)
     unknown = W - set(K.vertices)
     if unknown:
         raise ValueError(f"unknown vertices {sorted(unknown, key=repr)!r}")
-    pieces = []
-    for f in K.facets:
-        kept = W.intersection(f)
-        if kept:
-            pieces.append(tuple(sorted(kept)))
-    return SimplicialComplex(pieces)
+    table = {-1: [()]}
+    for k in range(K.dim + 1):
+        faces = list(filter(W.issuperset, K._faces(k)))
+        if not faces:
+            break
+        table[k] = faces
+    return SimplicialComplex._from_faces(table)
 
 
 def boundary_complex(K: SimplicialComplex) -> SimplicialComplex:
@@ -155,15 +183,11 @@ def boundary_complex(K: SimplicialComplex) -> SimplicialComplex:
     Requires K pure; empty for a closed pseudomanifold, and empty for a
     pure 0-complex (points have empty boundary).
     """
-    if K.is_empty:
-        return SimplicialComplex()
     if not is_pure(K):
         raise ValueError("boundary_complex requires a pure complex")
-    n = K.dim
-    if n == 0:
-        return SimplicialComplex()
-    degrees = _ridge_degrees(K)
-    return SimplicialComplex([r for r, d in degrees.items() if d == 1])
+    # The ridges of a pure complex are distinct and of one size: an antichain.
+    ridges = [r for r, d in _ridge_degrees(K).items() if d == 1] if K.dim > 0 else []
+    return SimplicialComplex._from_antichain(ridges, {v for r in ridges for v in r})
 
 
 def is_pure(K: SimplicialComplex) -> bool:
@@ -208,8 +232,9 @@ def vertex_link(K: SimplicialComplex, v) -> SimplicialComplex:
     """Link of v: complex generated by f minus v over the facets f containing v."""
     if v not in set(K.vertices):
         raise ValueError(f"unknown vertex {v!r}")
+    # f - v and g - v are nested only when f and g are: the pieces are an antichain.
     pieces = [tuple(u for u in f if u != v) for f in K.facets if v in f and len(f) > 1]
-    return SimplicialComplex(pieces)
+    return SimplicialComplex._from_antichain(pieces, {u for f in pieces for u in f})
 
 
 @dataclass(frozen=True)

@@ -249,6 +249,17 @@ def test_n_checker_computes_the_pseudomanifold_report_once(monkeypatch):
     assert report.verdicts[0].id == "n_manifold"
 
 
+@pytest.mark.parametrize("theorem", ["sphere", "three"])
+def test_check_builds_no_complex_through_the_public_constructor(theorem, monkeypatch):
+    # Each K_S is filtered from K's face tables and the boundary is a
+    # trusted antichain, so only the input ever meets the normalising scan.
+    K = barycentric_subdivision(generate("simplex_boundary(3)").complex).complex
+    coloring = Coloring([[v for v in K.vertices if v.count("|") == i] for i in range(4)])
+    built = count_calls(monkeypatch, SimplicialComplex, "__init__")
+    check_theorem(K, coloring, theorem, [GF2, QQ])
+    assert built == []
+
+
 def test_alexander_duality_audit_rejects_non_sphere():
     K = generate("torus7").complex
     coloring = random_coloring(K, 3, 1)

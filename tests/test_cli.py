@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 
@@ -47,6 +48,27 @@ def test_check_meshulam_fail_exit_code(tmp_path):
     assert result.returncode == 1
     assert "S=[0]" in result.stdout.replace('"S": [0]', "S=[0]")
     assert "rainbow witnesses (4)" in result.stdout
+
+
+def test_check_sphere_on_a_ball_proxy_fails_without_traceback(tmp_path):
+    # The homology_sphere detail holds a BettiVector, which json.dumps alone cannot encode.
+    path = tmp_path / "sp.json"
+    assert run_cli("sperner", "--dim", "2", "--depth", "2", "--out", str(path)).returncode == 0
+    result = run_cli("check", str(path), "--theorem", "sphere", "--field", "2")
+    assert result.returncode == 1
+    assert "homology_sphere: proxy-fail" in result.stdout
+    assert "Traceback" not in result.stderr
+
+
+def test_empty_class_warning_goes_through_logging(tmp_path, caplog):
+    path = tmp_path / "empty_class.json"
+    path.write_text(json.dumps({"facets": [["a", "b"]], "classes": [["a", "b"], []]}))
+    with caplog.at_level(logging.WARNING, logger="rainbowcheck"):
+        assert cli.main(["info", str(path)]) == 0
+    records = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+    assert records == [("rainbowcheck", "WARNING", "warning: class 1 is empty")]
+    # With no handler configured, logging's last resort writes the line to stderr.
+    assert run_cli("info", str(path)).stderr == "warning: class 1 is empty\n"
 
 
 def test_check_writes_json_report(tetra, tmp_path):

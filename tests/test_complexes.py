@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rainbowcheck import (
@@ -13,6 +13,7 @@ from rainbowcheck import (
     pseudomanifold_report,
     vertex_link,
 )
+from rainbowcheck.complexes import is_pure
 from rainbowcheck.generators import generate
 
 from oracle import enumerate_faces, maximal_faces
@@ -209,8 +210,53 @@ def nested_facet_lists(draw):
     return draw(st.permutations(out))
 
 
-@settings(max_examples=200, deadline=None)
-@given(nested_facet_lists())
+@st.composite
+def pure_facet_lists(draw):
+    """Pure facet lists with repeats in permuted vertex order."""
+    size = draw(st.integers(1, 4))
+    facet = st.lists(st.integers(0, 7), min_size=size, max_size=size, unique=True)
+    base = draw(st.lists(facet, max_size=8))
+    out = base + [draw(st.permutations(f)) for f in base if draw(st.booleans())]
+    return draw(st.permutations(out))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(nested_facet_lists(), pure_facet_lists()))
 @example([])
 def test_facets_match_oracle_maximal_faces(facet_lists):
     assert SimplicialComplex(facet_lists).facets == maximal_faces(facet_lists)
+
+
+CLOSED = list(itertools.combinations(range(5), 4))  # the boundary of a 4-simplex
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(nested_facet_lists(), pure_facet_lists()), st.sets(st.integers(0, 7)), st.booleans())
+@example([[0, 1, 2], [1, 2, 3], [3, 4]], set(), False)
+@example([[0, 1, 2], [1, 2, 3], [3, 4]], set(range(5)), False)
+@example(CLOSED, {0, 1, 2}, True)
+def test_induced_subcomplex_matches_oracle(facet_lists, w, of_boundary):
+    K = SimplicialComplex(facet_lists)
+    if of_boundary:
+        assume(is_pure(K))
+        K = boundary_complex(K)
+    W = w & set(K.vertices)
+    pieces = [kept for kept in ([v for v in f if v in W] for f in K.facets) if kept]
+    sub, public = induced_subcomplex(K, W), SimplicialComplex(pieces)
+    faces = enumerate_faces(pieces)
+    for k in range(-1, K.dim + 2):
+        assert sub._faces(k) == faces.get(k, [()] if k == -1 else [])
+    assert sub.facets == maximal_faces(pieces)
+    assert (sub.dim, sub.vertices, sub.is_empty) == (public.dim, public.vertices, public.is_empty)
+    assert sub == public and hash(sub) == hash(public)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nested_facet_lists(), st.integers(0, 7))
+def test_vertex_link_matches_public_constructor(facet_lists, v):
+    K = SimplicialComplex(facet_lists)
+    assume(v in K.vertices)
+    link = vertex_link(K, v)
+    public = SimplicialComplex([[u for u in f if u != v] for f in facet_lists if v in f and len(f) > 1])
+    assert link == public
+    assert (link.dim, link.vertices, link.is_empty) == (public.dim, public.vertices, public.is_empty)
