@@ -74,9 +74,19 @@ def _read_instance(path):
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON at line {exc.lineno}, column {exc.colno}")
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply")
     if not isinstance(data, dict) or "facets" not in data:
         raise InputError(f"{path}: expected an object with a 'facets' list")
     return data
+
+
+def _str_labels(path, kind, rows):
+    """The str() of the labels of facets or classes; exact types, so true is not a number."""
+    if not {str, int, float}.issuperset({type(v) for r in rows for v in r}):
+        bad = next(r for r in rows if not {str, int, float}.issuperset(map(type, r)))
+        raise InputError(f"{path}: {kind} {bad!r} has a label that is not a string or a number")
+    return [list(map(str, r)) for r in rows]
 
 
 def parse_instance(path):
@@ -87,17 +97,18 @@ def parse_instance(path):
         raise InputError(f"{path}: 'facets' must be a list of lists of labels")
     if len(facets) > MAX_FACETS:
         raise InputError(f"{path}: {len(facets)} facets, more than the limit of {MAX_FACETS}")
-    for f in facets:
-        if len(set(map(str, f))) != len(f):
+    labelled = _str_labels(path, "facet", facets)
+    for f in labelled:
+        if len(set(f)) != len(f):
             raise InputError(f"{path}: duplicate vertex inside facet {f!r}")
-    K = SimplicialComplex([[str(v) for v in f] for f in facets])
+    K = SimplicialComplex(labelled)
     coloring = None
     if data.get("classes") is not None:
         classes = data["classes"]
         if not isinstance(classes, list) or not all(isinstance(c, list) for c in classes):
             raise InputError(f"{path}: 'classes' must be a list of lists of labels")
         try:
-            coloring = Coloring([[str(v) for v in c] for c in classes])
+            coloring = Coloring(_str_labels(path, "class", classes))
         except ValueError as exc:
             raise InputError(f"{path}: {exc}")
         errors = coloring_errors(K, coloring)
@@ -110,23 +121,36 @@ def parse_instance(path):
     return K, coloring
 
 
-def _instance_dict(K, coloring=None, name=None):
-    out = {"facets": [[str(v) for v in f] for f in sorted(K.facets)]}
-    if name:
-        out["name"] = name
+def _rows_text(key, rows, line):
+    """Yield the top-level `key` and its value `rows`, a list of lists of labels, in
+    json.dump's indent=2 layout, 4096 rows a piece; `line(v)` is label v's line."""
+    for i in range(0, len(rows), 4096):
+        text = ("[" + ",".join(map(line, r)) + "\n    ]" if r else "[]" for r in rows[i : i + 4096])
+        yield (",\n    " if i else f'  "{key}": [\n    ') + ",\n    ".join(text)
+    yield "\n  ]" if rows else f'  "{key}": []'
+
+
+def _instance_text(K, coloring=None, name=None):
+    """Yield an instance file in pieces that join to exactly what json.dump(...,
+    indent=2, sort_keys=True) and a newline write, each label encoded once:
+    facets in K's label order, class members in the order of their str()."""
+    line = {v: "\n      " + json.dumps(str(v)) for v in K.vertices}.__getitem__
+    yield "{\n"
     if coloring is not None:
-        out["classes"] = [sorted(str(v) for v in c) for c in coloring.classes]
-    return out
+        yield from _rows_text("classes", [sorted(c, key=str) for c in coloring.classes], line)
+        yield ",\n"
+    yield from _rows_text("facets", sorted(K.facets), line)
+    if name:
+        yield ',\n  "name": ' + json.dumps(name)
+    yield "\n}\n"
 
 
-def _write_json(data, path):
+def _write_json(pieces, path):
     if path is None:
-        json.dump(data, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.writelines(pieces)
 
 
 def _betti_line(betti, max_degree, label):
@@ -142,7 +166,7 @@ def _need_coloring(coloring, path):
 
 def _cmd_gen(args):
     named = generate(args.name)
-    _write_json(_instance_dict(named.complex, name=named.name), args.out)
+    _write_json(_instance_text(named.complex, name=named.name), args.out)
     return 0
 
 
@@ -194,12 +218,12 @@ def _cmd_sd(args):
         if K.is_empty:
             raise InputError("cannot subdivide the empty complex")
         K = barycentric_subdivision(K).complex
-    _write_json(_instance_dict(K), args.out)
+    _write_json(_instance_text(K), args.out)
     return 0
 
 
 def _report_json(theorem, fields, reports, overall, elapsed):
-    return {
+    report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "theorem": theorem,
         "fields": [str(f) for f in fields],
@@ -207,6 +231,8 @@ def _report_json(theorem, fields, reports, overall, elapsed):
         "reports": [r.as_dict() for r in reports],
         "elapsed_seconds": round(elapsed, 3),
     }
+    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+    yield "\n"
 
 
 def _print_report(report: CheckReport):
@@ -281,9 +307,7 @@ def _cmd_sperner(args):
     witnesses = rainbow_simplices(K, coloring)
     print(f"sperner instance dim={args.dim} depth={args.depth}: {len(witnesses)} rainbow simplices")
     if args.out:
-        _write_json(
-            _instance_dict(K, coloring, name=f"sperner({args.dim},{args.depth})"), args.out
-        )
+        _write_json(_instance_text(K, coloring, name=f"sperner({args.dim},{args.depth})"), args.out)
     return 0
 
 

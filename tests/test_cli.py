@@ -4,8 +4,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rainbowcheck import chromatic, cli
+from rainbowcheck import Coloring, SimplicialComplex, chromatic, cli
 
 RUN = [sys.executable, "-m", "rainbowcheck"]
 
@@ -296,3 +298,101 @@ def test_os_error_is_input_error(args, tetra, tmp_path):
 def test_bad_field_is_error(tetra):
     result = run_cli("betti", tetra, "--field", "x")
     assert result.returncode == 2
+
+
+def _reference_instance_text(K, coloring, name):
+    # The instance as a dict through json.dumps, plus a newline.
+    data = {"facets": [[str(v) for v in f] for f in sorted(K.facets)]}
+    if name:
+        data["name"] = name
+    if coloring is not None:
+        data["classes"] = [sorted(str(v) for v in c) for c in coloring.classes]
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+# Quotes, backslashes, control characters, non-ASCII text and '|'.
+_STR_LABELS = st.text(
+    st.sampled_from(["a", "b", "B", '"', "\\", "\n", "\x00", "\x1f", "é", "雪", "😀", "|"]),
+    min_size=1,
+    max_size=3,
+)
+
+
+@st.composite
+def _instances(draw):
+    """(facets, classes or None): int labels (10 and above beside smaller
+    ones) or str labels; classes partition the vertices, some maybe empty."""
+    labels = draw(st.sampled_from([st.integers(0, 30), _STR_LABELS]))
+    facets = draw(st.lists(st.lists(labels, min_size=1, max_size=4, unique=True), max_size=8))
+    if not draw(st.booleans()):
+        return facets, None
+    vertices = sorted({v for f in facets for v in f})
+    classes = [[] for _ in range(draw(st.integers(1, 4)))]
+    for v in vertices:
+        classes[draw(st.integers(0, len(classes) - 1))].append(v)
+    return facets, classes
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=_instances(), name=st.none() | st.text(max_size=4))
+@example(instance=([], None), name=None)  # the empty complex
+@example(instance=([], [[]]), name="")
+@example(instance=([["a"]], None), name=None)  # a single vertex
+@example(instance=([[7]], [[7], []]), name="one vertex")
+@example(instance=([[2, 3], [10, 11], [2, 10]], [[2, 10], [3, 11]]), name="2 < 10")
+def test_instance_text_is_json_dump_bytes(instance, name):
+    facets, classes = instance
+    K = SimplicialComplex(facets)
+    coloring = None if classes is None else Coloring(classes)
+    text = "".join(cli._instance_text(K, coloring, name))
+    assert text == _reference_instance_text(K, coloring, name)
+
+
+@pytest.mark.parametrize("name", ["torus7", "cycle(12)"])
+def test_gen_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, name):
+    out = tmp_path / "gen.json"
+    assert run_cli("gen", name, "--out", str(out)).returncode == 0
+    printed = run_cli("gen", name)
+    assert printed.returncode == 0
+    assert printed.stdout.encode() == out.read_bytes()
+    data = json.loads(printed.stdout)
+    assert printed.stdout == json.dumps(data, indent=2, sort_keys=True) + "\n"
+    # Facets keep the int labels' order: in cycle(12), (2, 3) comes before (10, 11).
+    assert data["facets"] == [[str(v) for v in f] for f in sorted(cli.generate(name).complex.facets)]
+
+
+def test_deeply_nested_json_is_input_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"facets": [[' + "[" * 5000 + "]" * 5000 + "]]}")
+    result = run_cli("info", str(path))
+    assert result.returncode == 2
+    assert result.stderr == f"error: {path}: JSON nested too deeply\n"
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "instance, named",
+    [
+        ({"facets": [["a", ["b"]]]}, "facet ['a', ['b']]"),
+        ({"facets": [["a", {"b": 1}]]}, "facet ['a', {'b': 1}]"),
+        ({"facets": [["a", None]]}, "facet ['a', None]"),
+        ({"facets": [["c", True]]}, "facet ['c', True]"),
+        ({"facets": [[0, False]]}, "facet [0, False]"),
+        ({"facets": [["a", "b"]], "classes": [["a"], [None, "b"]]}, "class [None, 'b']"),
+        ({"facets": [["a", "b"]], "classes": [["a"], [["b"]]]}, "class [['b']]"),
+    ],
+    ids=["array", "object", "null", "true", "false", "class-null", "class-array"],
+)
+def test_label_that_is_not_a_string_or_number_is_input_error(tmp_path, capsys, instance, named):
+    path, out = tmp_path / "bad.json", tmp_path / "sd.json"
+    path.write_text(json.dumps(instance))
+    assert cli.main(["sd", str(path), "--times", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {named} has a label that is not a string or a number\n"
+    assert not out.exists()
+
+
+def test_string_and_number_labels_are_read_as_their_str(tmp_path, capsys):
+    path = tmp_path / "numbers.json"
+    path.write_text(json.dumps({"facets": [[1, 2.5, "x"]], "classes": [[1], [2.5], ["x"]]}))
+    assert cli.main(["sd", str(path), "--times", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"facets": [["1", "2.5", "x"]]}
