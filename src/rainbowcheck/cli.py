@@ -43,9 +43,11 @@ from .subdivision import barycentric_subdivision
 
 REPORT_SCHEMA_VERSION = 1
 
-# Input files of more facets than this are refused before the complex is
-# built, and so are `sd` outputs before subdividing: each can be read back.
-MAX_FACETS = 250_000
+# A bound on the faces of a facet list: the sum of 2^|f| - 1 over the facets.
+# Input files over this are refused before the complex is built, and so are
+# `sd` outputs before subdividing, so each can be read back.  250 000 facets
+# of 5 vertices are admitted.
+MAX_FACES = 250_000 * 31
 
 
 class InputError(Exception):
@@ -82,11 +84,16 @@ def _read_instance(path):
 
 
 def _str_labels(path, kind, rows):
-    """The str() of the labels of facets or classes; exact types, so true is not a number."""
+    """The str() of the labels of facets or classes, none repeated inside a row;
+    exact types, so true is not a number."""
     if not {str, int, float}.issuperset({type(v) for r in rows for v in r}):
         bad = next(r for r in rows if not {str, int, float}.issuperset(map(type, r)))
         raise InputError(f"{path}: {kind} {bad!r} has a label that is not a string or a number")
-    return [list(map(str, r)) for r in rows]
+    labelled = [list(map(str, r)) for r in rows]
+    for r in labelled:
+        if len(set(r)) != len(r):
+            raise InputError(f"{path}: duplicate vertex inside {kind} {r!r}")
+    return labelled
 
 
 def parse_instance(path):
@@ -95,13 +102,9 @@ def parse_instance(path):
     facets = data["facets"]
     if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
         raise InputError(f"{path}: 'facets' must be a list of lists of labels")
-    if len(facets) > MAX_FACETS:
-        raise InputError(f"{path}: {len(facets)} facets, more than the limit of {MAX_FACETS}")
-    labelled = _str_labels(path, "facet", facets)
-    for f in labelled:
-        if len(set(f)) != len(f):
-            raise InputError(f"{path}: duplicate vertex inside facet {f!r}")
-    K = SimplicialComplex(labelled)
+    if sum(2 ** len(f) - 1 for f in facets) > MAX_FACES:
+        raise InputError(f"{path}: the facets may span more than the limit of {MAX_FACES} faces")
+    K = SimplicialComplex(_str_labels(path, "facet", facets))
     coloring = None
     if data.get("classes") is not None:
         classes = data["classes"]
@@ -211,9 +214,9 @@ def _cmd_sd(args):
     # Each subdivision turns a facet of k vertices into k! facets of k
     # vertices.  A factor of 2 or more to a power above the limit's bit
     # length is over the limit, so the power is capped there.
-    power = min(args.times, MAX_FACETS.bit_length())
-    if sum(math.factorial(len(f)) ** power for f in K.facets) > MAX_FACETS:
-        raise InputError(f"sd --times {args.times} would make more than {MAX_FACETS} facets")
+    power = min(args.times, MAX_FACES.bit_length())
+    if sum(math.factorial(len(f)) ** power * (2 ** len(f) - 1) for f in K.facets) > MAX_FACES:
+        raise InputError(f"sd --times {args.times} may make more than the limit of {MAX_FACES} faces")
     for _ in range(args.times):
         if K.is_empty:
             raise InputError("cannot subdivide the empty complex")

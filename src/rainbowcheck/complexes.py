@@ -11,8 +11,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import threading
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 # A simplex is a strictly sorted tuple of vertex labels.
 Simplex = tuple
@@ -186,7 +185,7 @@ def boundary_complex(K: SimplicialComplex) -> SimplicialComplex:
     if not is_pure(K):
         raise ValueError("boundary_complex requires a pure complex")
     # The ridges of a pure complex are distinct and of one size: an antichain.
-    ridges = [r for r, d in _ridge_degrees(K).items() if d == 1] if K.dim > 0 else []
+    ridges = [r for r, fs in _ridges(K).items() if len(fs) == 1] if K.dim > 0 else []
     return SimplicialComplex._from_antichain(ridges, {v for r in ridges for v in r})
 
 
@@ -194,22 +193,23 @@ def is_pure(K: SimplicialComplex) -> bool:
     return K.is_empty or all(len(f) == K.dim + 1 for f in K.facets)
 
 
-def _ridge_degrees(K: SimplicialComplex) -> Counter:
-    """How many top-dimensional facets contain each (dim-1)-face."""
-    degrees = Counter()
+def _ridges(K: SimplicialComplex) -> dict:
+    """Each (dim-1)-face of a top-dimensional facet -> the list of those facets."""
+    ridges = {}
     for f in K.facets:
         if len(f) == K.dim + 1:
-            degrees.update(itertools.combinations(f, K.dim))
-    return degrees
+            for r in itertools.combinations(f, K.dim):
+                ridges.setdefault(r, []).append(f)
+    return ridges
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:
     return sum((-1) ** k * K.face_count(k) for k in range(K.dim + 1))
 
 
-def connected_components(K: SimplicialComplex):
-    """Partition of the vertex set under the edge relation, sorted blocks."""
-    parent = {v: v for v in K.vertices}
+def _components(vertices, edges) -> list:
+    """Blocks of `vertices` under the pairs in `edges`, by union-find."""
+    parent = {v: v for v in vertices}
 
     def find(v):
         while parent[v] != v:
@@ -217,24 +217,33 @@ def connected_components(K: SimplicialComplex):
             v = parent[v]
         return v
 
-    if K.dim >= 1:
-        for a, b in K._faces(1):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
     blocks = {}
-    for v in K.vertices:
+    for v in vertices:
         blocks.setdefault(find(v), []).append(v)
-    return sorted(sorted(b) for b in blocks.values())
+    return list(blocks.values())
+
+
+def connected_components(K: SimplicialComplex):
+    """Partition of the vertex set under the edge relation, sorted blocks."""
+    return sorted(sorted(b) for b in _components(K.vertices, K._faces(1)))
+
+
+def _link(v, star) -> SimplicialComplex:
+    """Link of v from its star, the facets that contain v."""
+    # f - v and g - v are nested only when f and g are: the pieces are an antichain.
+    pieces = [tuple(u for u in f if u != v) for f in star if len(f) > 1]
+    return SimplicialComplex._from_antichain(pieces, {u for f in pieces for u in f})
 
 
 def vertex_link(K: SimplicialComplex, v) -> SimplicialComplex:
     """Link of v: complex generated by f minus v over the facets f containing v."""
     if v not in set(K.vertices):
         raise ValueError(f"unknown vertex {v!r}")
-    # f - v and g - v are nested only when f and g are: the pieces are an antichain.
-    pieces = [tuple(u for u in f if u != v) for f in K.facets if v in f and len(f) > 1]
-    return SimplicialComplex._from_antichain(pieces, {u for f in pieces for u in f})
+    return _link(v, [f for f in K.facets if v in f])
 
 
 @dataclass(frozen=True)
@@ -246,13 +255,7 @@ class PseudomanifoldReport:
     strongly_connected: bool
 
     def as_dict(self):
-        return {
-            "is_pure": self.is_pure,
-            "ridge_degrees_ok": self.ridge_degrees_ok,
-            "is_closed": self.is_closed,
-            "link_betti_ok": self.link_betti_ok,
-            "strongly_connected": self.strongly_connected,
-        }
+        return asdict(self)
 
 
 def pseudomanifold_report(K: SimplicialComplex) -> PseudomanifoldReport:
@@ -260,46 +263,31 @@ def pseudomanifold_report(K: SimplicialComplex) -> PseudomanifoldReport:
 
     Vertex links are compared against the GF(2) reduced Betti vectors of
     the (n-1)-sphere and the (n-1)-ball; this is necessary, not sufficient,
-    for K to triangulate a manifold.
+    for K to triangulate a manifold.  Ridge facts are read from one ridge
+    map and links from one star index, not from a scan of K per vertex.
     """
     from .homology import GF2, reduced_betti  # local import: avoid cycle
 
     if K.is_empty:
         return PseudomanifoldReport(True, True, False, True, False)
-    pure = is_pure(K)
-    degrees = _ridge_degrees(K)
-    ridge_ok = all(d <= 2 for d in degrees.values())
-    closed = pure and K.dim >= 1 and all(d == 2 for d in degrees.values())
+    n, pure, ridges = K.dim, is_pure(K), _ridges(K)
+    ridge_ok = all(len(fs) <= 2 for fs in ridges.values())
+    closed = pure and n >= 1 and all(len(fs) == 2 for fs in ridges.values())
 
-    n = K.dim
+    star = {v: [] for v in K.vertices}
+    for f in K.facets:
+        for v in f:
+            star[v].append(f)
     link_ok = True
-    for v in K.vertices:
-        lk = vertex_link(K, v)
-        betti = reduced_betti(lk, GF2)
+    for v, fs in star.items():
+        betti = reduced_betti(_link(v, fs), GF2)
         sphere = all(betti[k] == (1 if k == n - 1 else 0) for k in range(-1, n))
-        ball = (not lk.is_empty) and all(betti[k] == 0 for k in range(-1, n))
+        ball = all(betti[k] == 0 for k in range(-1, n))  # degree -1 rules out an empty link
         if not (sphere or ball):
             link_ok = False
             break
 
-    strong = False
-    if pure and K.facets:
-        facets = sorted(K.facets)
-        ridge_to_facets = {}
-        for i, f in enumerate(facets):
-            for r in itertools.combinations(f, len(f) - 1):
-                ridge_to_facets.setdefault(r, []).append(i)
-        adj = {i: set() for i in range(len(facets))}
-        for members in ridge_to_facets.values():
-            for i in members:
-                adj[i].update(m for m in members if m != i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for j in adj[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        strong = len(seen) == len(facets)
-
+    # Facets that share a ridge are adjacent; chaining each ridge's list is enough.
+    adjacent = (e for fs in ridges.values() for e in zip(fs, fs[1:]))
+    strong = pure and len(_components(K.facets, adjacent)) == 1
     return PseudomanifoldReport(pure, ridge_ok, closed, link_ok, strong)

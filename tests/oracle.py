@@ -147,3 +147,46 @@ def dense_relative_betti(facets_K, facets_L, p=None):
         quotient = [[full[i][j] for j in keep[k]] for i in keep[k - 1]]
         ranks[k] = dense_rank(quotient, p)
     return {k: len(keep[k]) - ranks[k] - ranks[k + 1] for k in range(top + 1)}
+
+
+def pseudomanifold_report(facets):
+    """The pseudomanifold report of the complex generated by the raw facet
+    lists, as a dict in the package's key order, by brute force: ridge
+    degrees from pairs of top facets, each vertex link from a scan of all
+    facets ranked over GF(2), and strong connectivity by a search over top
+    facets that share a ridge."""
+    facets = sorted(maximal_faces(facets))
+    if not facets:
+        return dict(is_pure=True, ridge_degrees_ok=True, is_closed=False,
+                    link_betti_ok=True, strongly_connected=False)
+    n = max(len(f) for f in facets) - 1
+    tops = [f for f in facets if len(f) == n + 1]
+    pure = len(tops) == len(facets)
+
+    degrees = [
+        1 + sum(1 for g in tops if g != f and set(f) & set(g) == set(r))
+        for f in tops
+        for r in combinations(f, n)
+    ]
+    link_ok = True
+    for v in sorted({v for f in facets for v in f}):
+        link = [[u for u in f if u != v] for f in facets if v in f and len(f) > 1]
+        betti = dense_reduced_betti(link, p=2)
+        values = [betti.get(k, 0) for k in range(-1, n)]
+        sphere = values == [1 if k == n - 1 else 0 for k in range(-1, n)]
+        if not (sphere or not any(values)):  # neither a sphere nor a ball
+            link_ok = False
+    seen, queue = {tops[0]}, [tops[0]]
+    while queue:
+        f = queue.pop(0)
+        for g in tops:
+            if g not in seen and len(set(f) & set(g)) == n:
+                seen.add(g)
+                queue.append(g)
+    return dict(
+        is_pure=pure,
+        ridge_degrees_ok=all(d <= 2 for d in degrees),
+        is_closed=pure and n >= 1 and all(d == 2 for d in degrees),
+        link_betti_ok=link_ok,
+        strongly_connected=pure and len(seen) == len(facets),
+    )

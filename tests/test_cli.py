@@ -135,7 +135,7 @@ def test_sd_over_the_facet_limit_is_input_error(tetra, tmp_path):
     out = tmp_path / "sd.json"
     result = run_cli("sd", tetra, "--times", "50", "--out", str(out), timeout=30)
     assert result.returncode == 2
-    assert "error: sd --times 50 would make more than 250000 facets" in result.stderr
+    assert "error: sd --times 50 may make more than the limit of 7750000 faces" in result.stderr
     assert not out.exists()
 
 
@@ -147,20 +147,30 @@ def test_input_over_the_facet_limit_is_input_error(tmp_path, monkeypatch, capsys
         path.write_text(json.dumps({"facets": facets}))
     else:
         path.write_text("".join(" ".join(f) + "\n" for f in facets))
-    monkeypatch.setattr(cli, "MAX_FACETS", 4)
+    # 4 facets of 3 vertices: the bound is 4 * (2^3 - 1) = 28 faces.
+    monkeypatch.setattr(cli, "MAX_FACES", 28)
     assert cli.main(["info", str(path)]) == 0
-    monkeypatch.setattr(cli, "MAX_FACETS", 3)
+    monkeypatch.setattr(cli, "MAX_FACES", 27)
     monkeypatch.setattr(cli, "SimplicialComplex", None)  # refused before it is built
     assert cli.main(["info", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: {path}: 4 facets, more than the limit of 3\n"
+    assert capsys.readouterr().err == f"error: {path}: the facets may span more than the limit of 27 faces\n"
+
+
+def test_one_large_facet_is_refused_at_once(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"facets": [[f"v{i}" for i in range(40)]]}))
+    result = run_cli("info", str(path), timeout=10)
+    assert result.returncode == 2
+    assert result.stderr == f"error: {path}: the facets may span more than the limit of 7750000 faces\n"
 
 
 def test_every_sd_output_can_be_read_back(tetra, tmp_path, monkeypatch, capsys):
     out = tmp_path / "sd.json"
-    monkeypatch.setattr(cli, "MAX_FACETS", 23)
+    # 24 facets of 3 vertices: the bound is 24 * (2^3 - 1) = 168 faces.
+    monkeypatch.setattr(cli, "MAX_FACES", 167)
     assert cli.main(["sd", tetra, "--out", str(out)]) == 2
     assert not out.exists()
-    monkeypatch.setattr(cli, "MAX_FACETS", 24)
+    monkeypatch.setattr(cli, "MAX_FACES", 168)
     assert cli.main(["sd", tetra, "--out", str(out)]) == 0
     assert cli.main(["info", str(out)]) == 0
     assert "euler characteristic: 2" in capsys.readouterr().out
@@ -263,6 +273,14 @@ def test_duplicate_vertex_in_facet_is_parse_error(tmp_path):
     path.write_text(json.dumps({"facets": [["a", "a", "b"]]}))
     result = run_cli("info", str(path))
     assert result.returncode == 2
+
+
+def test_duplicate_vertex_in_class_is_parse_error(tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"facets": [["a", "b"], ["b", "c"]], "classes": [["a", "a"], ["b"], ["c"]]}))
+    result = run_cli("info", str(path))
+    assert result.returncode == 2
+    assert result.stderr == f"error: {path}: duplicate vertex inside class ['a', 'a']\n"
 
 
 def test_txt_import(tmp_path):

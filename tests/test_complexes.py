@@ -17,6 +17,7 @@ from rainbowcheck.complexes import is_pure
 from rainbowcheck.generators import generate
 
 from oracle import enumerate_faces, maximal_faces
+from oracle import pseudomanifold_report as oracle_report
 
 TETRA_BOUNDARY = [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", "d"]]
 
@@ -260,3 +261,18 @@ def test_vertex_link_matches_public_constructor(facet_lists, v):
     public = SimplicialComplex([[u for u in f if u != v] for f in facet_lists if v in f and len(f) > 1])
     assert link == public
     assert (link.dim, link.vertices, link.is_empty) == (public.dim, public.vertices, public.is_empty)
+
+
+TORUS_CONE = [list(f) + [7] for f in generate("torus7").complex.facets]
+TWO_SPHERES_AT_A_VERTEX = [f for a in ((0, 1, 2, 3), (0, 4, 5, 6)) for f in itertools.combinations(a, 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(nested_facet_lists(), pure_facet_lists()))
+@example(TORUS_CONE)
+@example(TWO_SPHERES_AT_A_VERTEX)
+@example([[0, 1, 2], [0, 1, 3], [0, 1, 4]])  # three triangles on one edge
+@example([[0, 1, 2], [3, 4, 5]])
+@example([[0], [1], [2]])
+def test_pseudomanifold_report_matches_oracle(facet_lists):
+    assert pseudomanifold_report(SimplicialComplex(facet_lists)).as_dict() == oracle_report(facet_lists)
